@@ -1,8 +1,8 @@
 """Closed forms against their numeric routes on a random sample.
 
 Every closed-form quantity in the package has an independent search
-route: classical correlations via a grid plus simplex refinement over
-measurement directions, discord via the post-measurement mutual
+route: classical correlations via a grid plus pattern-search refinement
+over measurement directions, discord via the post-measurement mutual
 information, and the noncommutativity minimum via a search over Bloch
 directions.  This prints the worst disagreement over a seeded sample.
 Same checks as `qcorr oracle`, driven through the library API.

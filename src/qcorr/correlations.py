@@ -12,20 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ID2, hermitian_eigenvalues, partial_trace
-from .measurement import (
-    conditional_states_general,
-    pvm_from_s,
-    post_measurement_state,
-    unitary_from_s,
-)
+from .linalg import ID2, PAULIS, hermitian_eigenvalues, partial_trace
+from .measurement import s_from_z
 from .search import SearchConfig, maximize_on_sphere
-from .states import BDState, NotPSDError, bd_coeffs, bd_eigenvalues, bd_matrix, check_bd
+from .states import BDState, NotPSDError, bd_coeffs, bd_eigenvalues, bd_matrix, check_bd, validate
 
 EIG_CLAMP = 1e-10
-
-_P0 = np.array([[1, 0], [0, 0]], dtype=complex)
-_P1 = np.array([[0, 0], [0, 1]], dtype=complex)
 
 
 def _entropy_of_probs(lam, clamp: float = EIG_CLAMP) -> float:
@@ -88,30 +80,9 @@ def classical_correlations_bd(c) -> tuple[float, int]:
     return 1.0 - binary_entropy((1.0 + cmax) / 2.0), axis
 
 
-def _measured_conditional_term(rho, s) -> float:
-    """sum_j p_j S(rho_B|j) for the measurement parametrized by s."""
-    total = 0.0
-    for state, p in conditional_states_general(rho, pvm_from_s(s)):
-        if state is None:
-            continue
-        total += p * von_neumann_entropy(state)
-    return total
-
-
-def _batch_projectors(pts: np.ndarray) -> np.ndarray:
-    """First projector V|0><0|V^dag for each row of an (n, 4) parameter array."""
-    s0, s1, s2, s3 = pts[:, 0], pts[:, 1], pts[:, 2], pts[:, 3]
-    # Bloch vector of the projector; M0 = (I + z . sigma) / 2.
-    z1 = 2 * (-s0 * s2 + s1 * s3)
-    z2 = 2 * (s0 * s1 + s2 * s3)
-    z3 = s0**2 + s3**2 - s1**2 - s2**2
-    n = pts.shape[0]
-    m = np.empty((n, 2, 2), dtype=complex)
-    m[:, 0, 0] = (1 + z3) / 2
-    m[:, 1, 1] = (1 - z3) / 2
-    m[:, 0, 1] = (z1 - 1j * z2) / 2
-    m[:, 1, 0] = (z1 + 1j * z2) / 2
-    return m
+def _batch_projectors(z: np.ndarray) -> np.ndarray:
+    """First projector M0 = (I + z . sigma) / 2 for each row of an (n, 3) array."""
+    return (ID2 + np.einsum("ni,ijk->njk", z, PAULIS)) / 2
 
 
 def _eig2_batch(h: np.ndarray) -> np.ndarray:
@@ -130,12 +101,12 @@ def _entropy_batch(lam: np.ndarray) -> np.ndarray:
     return np.sum(terms, axis=1)
 
 
-def _batch_measured_term(rho: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Vectorized sum_j p_j S(rho_B|j) over a grid of measurement parameters."""
+def _batch_measured_term(rho: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """sum_j p_j S(rho_B|j) for each row of an (n, 3) array of measurement directions."""
     r = rho.reshape(2, 2, 2, 2)
-    m0 = _batch_projectors(pts)
+    m0 = _batch_projectors(z)
     m1 = ID2[None, :, :] - m0
-    out = np.zeros(pts.shape[0])
+    out = np.zeros(z.shape[0])
     for m in (m0, m1):
         # Unnormalized conditional: Tr_A[(M x I) rho]; its trace is p.
         sub = np.einsum("nxy,ybxd->nbd", m, r)
@@ -150,26 +121,24 @@ def _batch_measured_term(rho: np.ndarray, pts: np.ndarray) -> np.ndarray:
 def classical_correlations_numeric(rho, config: SearchConfig | None = None) -> tuple[float, np.ndarray]:
     """Classical correlations by direct search over projective measurements.
 
-    Maximizes S(rho_B) - sum_j p_j S(rho_B|j) over the measurement sphere.
-    Independent of the Bell-diagonal closed forms.  Returns (value, s_best).
+    Maximizes S(rho_B) - sum_j p_j S(rho_B|j) over the Bloch vector z of
+    the measurement on A.  Independent of the Bell-diagonal closed forms.
+    Returns (value, s_best), with s_best lifted from the optimal z.
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = validate(rho)
     s_b = von_neumann_entropy(partial_trace(rho, "B"))
-
-    def objective(s):
-        return s_b - _measured_conditional_term(rho, s)
-
-    def batch(pts):
-        return s_b - _batch_measured_term(rho, pts)
-
-    value, s_best = maximize_on_sphere(objective, 4, config, batch_objective=batch)
-    return value, s_best
+    value, z_best = maximize_on_sphere(lambda z: s_b - _batch_measured_term(rho, z), config)
+    return value, s_from_z(z_best)
 
 
-def _batch_post_mi(rho: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Vectorized I(rho^M) over a grid of measurement parameters."""
-    n = pts.shape[0]
-    m0 = _batch_projectors(pts)
+def _batch_post_mi(rho: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """I(rho^M) for each row of an (n, 3) array of measurement directions.
+
+    For a rank-1 measurement on A this equals S(rho_B) - sum_j p_j S(rho_B|j),
+    as rho^M has eigenvalues p_j * eig(rho_B|j); this route alone takes a 4x4 eigensolve.
+    """
+    n = z.shape[0]
+    m0 = _batch_projectors(z)
     m1 = ID2[None, :, :] - m0
     k0 = np.einsum("nab,cd->nacbd", m0, ID2).reshape(n, 4, 4)
     k1 = np.einsum("nab,cd->nacbd", m1, ID2).reshape(n, 4, 4)
@@ -183,18 +152,6 @@ def _batch_post_mi(rho: np.ndarray, pts: np.ndarray) -> np.ndarray:
         + _entropy_batch(_eig2_batch(red_b))
         - _entropy_batch(lam4)
     )
-
-
-def _max_post_measurement_mi(rho, config: SearchConfig | None = None) -> tuple[float, np.ndarray]:
-    rho = np.asarray(rho, dtype=complex)
-
-    def objective(s):
-        return mutual_information(post_measurement_state(rho, pvm_from_s(s)))
-
-    def batch(pts):
-        return _batch_post_mi(rho, pts)
-
-    return maximize_on_sphere(objective, 4, config, batch_objective=batch)
 
 
 def _as_density(state) -> np.ndarray:
@@ -231,7 +188,7 @@ def discord(state, method: str = "closed_bd", config: SearchConfig | None = None
         return mutual_information(rho) - j
     if method == "via_mi":
         rho = _as_density(state)
-        best, _ = _max_post_measurement_mi(rho, config)
+        best, _ = maximize_on_sphere(lambda z: _batch_post_mi(rho, z), config)
         return mutual_information(rho) - best
     raise ValueError(f"unknown discord method {method!r}")
 

@@ -26,7 +26,7 @@ FREEZE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ChannelSpec:
-    """Local flip channel: axis k in {1, 2, 3} and rate gamma >= 0."""
+    """Local flip channel: axis k in {1, 2, 3} and a finite rate gamma >= 0."""
 
     k: int
     gamma: float
@@ -34,8 +34,8 @@ class ChannelSpec:
     def __post_init__(self):
         if self.k not in (1, 2, 3):
             raise ValueError(f"channel axis must be 1, 2 or 3, got {self.k}")
-        if not (self.gamma >= 0):
-            raise ValueError(f"rate must be nonnegative, got {self.gamma}")
+        if not (np.isfinite(self.gamma) and self.gamma >= 0):
+            raise ValueError(f"rate must be finite and nonnegative, got {self.gamma}")
 
 
 def kraus_ops(spec: ChannelSpec, t: float) -> list[np.ndarray]:

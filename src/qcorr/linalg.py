@@ -23,12 +23,12 @@ _MAX_SWEEPS = 60
 
 
 def as_matrix(a) -> np.ndarray:
-    """Coerce to a square complex ndarray of dimension 2, 3 or 4."""
+    """Coerce to a square complex ndarray of dimension 2 or 4."""
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] not in (2, 3, 4):
-        raise ValueError(f"supported dimensions are 2..4, got {m.shape[0]}")
+    if m.shape[0] not in (2, 4):
+        raise ValueError(f"supported dimensions are 2 and 4, got {m.shape[0]}")
     return m
 
 

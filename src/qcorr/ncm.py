@@ -13,13 +13,15 @@ from itertools import combinations
 
 import numpy as np
 
-from .linalg import ID2, commutator, hs_norm, kron, partial_trace
+from .linalg import ID2, kron, partial_trace
 from .measurement import s_from_z, unitary_from_s, z_vector
 from .search import SearchConfig, minimize_on_sphere
 from .states import bd_coeffs, check_bd
 
 _SQRT8 = float(np.sqrt(8.0))
 _SQRT2 = float(np.sqrt(2.0))
+# The six unordered pairs of the flattened blocks A_00, A_01, A_10, A_11.
+_PAIRS = np.array(list(combinations(range(4), 2))).T
 
 
 def alpha_triple(c) -> tuple[float, float, float]:
@@ -44,24 +46,41 @@ def a_operators(rho, s) -> list[list[np.ndarray]]:
     return blocks
 
 
+def _b_kets(z: np.ndarray) -> np.ndarray:
+    """Kets (e_0, e_1) of a B basis whose e_0 has Bloch vector z, per row of an (n, 3) array.
+
+    The measure does not depend on the phases of the kets.
+    """
+    half = 0.5 * np.arctan2(np.hypot(z[:, 0], z[:, 1]), z[:, 2])
+    up, down = np.cos(half) + 0j, np.sin(half) * np.exp(1j * np.arctan2(z[:, 1], z[:, 0]))
+    return np.stack([np.stack([up, down], axis=1), np.stack([-down.conj(), up], axis=1)], axis=1)
+
+
+def d_a_basis_batch(rho, z: np.ndarray) -> np.ndarray:
+    """d_a_basis for each row of an (n, 3) array of B-basis Bloch vectors z."""
+    r = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
+    kets = _b_kets(z)
+    # A_ij[a, c] = sum_{x, y} conj(e_i[x]) rho[a x, c y] e_j[y] = Tr_B[(I x |e_j><e_i|) rho].
+    flat = np.einsum("nix,axcy,njy->nijac", kets.conj(), r, kets).reshape(len(z), 4, 2, 2)
+    x, y = flat[:, _PAIRS[0]], flat[:, _PAIRS[1]]
+    return np.linalg.norm(x @ y - y @ x, axis=(2, 3)).sum(axis=1)
+
+
 def d_a_basis(rho, s) -> float:
     """Sum of ||[A_ij, A_kl]||_2 over the six unordered block pairs."""
-    blocks = a_operators(rho, s)
-    flat = [blocks[0][0], blocks[0][1], blocks[1][0], blocks[1][1]]
-    return float(sum(hs_norm(commutator(x, y)) for x, y in combinations(flat, 2)))
+    return float(d_a_basis_batch(rho, z_vector(s)[None])[0])
 
 
-def _closed_from_z(c: np.ndarray, z: np.ndarray) -> float:
-    a = np.array(alpha_triple(c))
+def _closed_from_z(a: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Closed-form d_A for the alpha triple a, per row of an (n, 3) array z."""
     z2 = z * z
-    zeta = 1.0 - z2
-    return float(np.sqrt(a @ z2) / _SQRT8 + np.sqrt(np.maximum(a @ zeta, 0.0)) / _SQRT2)
+    return np.sqrt(z2 @ a) / _SQRT8 + np.sqrt(np.maximum((1.0 - z2) @ a, 0.0)) / _SQRT2
 
 
 def d_a_bd_closed(c, s) -> float:
     """Closed form of the basis-dependent measure for a Bell-diagonal state."""
-    c = check_bd(c)
-    return _closed_from_z(c, z_vector(s))
+    a = np.array(alpha_triple(check_bd(c)))
+    return float(_closed_from_z(a, z_vector(s)[None])[0])
 
 
 def d_a_optimized(c) -> float:
@@ -86,18 +105,8 @@ def d_a_numeric(c, config: SearchConfig | None = None) -> tuple[float, np.ndarra
     the four-component measurement parameter.  Returns (value, s_best) with
     s_best lifted from the optimal z.
     """
-    c = check_bd(c)
-
-    def objective(z):
-        return _closed_from_z(c, z)
-
-    def batch(pts):
-        a = np.array(alpha_triple(c))
-        z2 = pts * pts
-        zeta = 1.0 - z2
-        return np.sqrt(z2 @ a) / _SQRT8 + np.sqrt(np.maximum(zeta @ a, 0.0)) / _SQRT2
-
-    value, z_best = minimize_on_sphere(objective, 3, config, batch_objective=batch)
+    a = np.array(alpha_triple(check_bd(c)))
+    value, z_best = minimize_on_sphere(lambda z: _closed_from_z(a, z), config)
     return value, s_from_z(z_best)
 
 

@@ -15,9 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import ID2, PAULIS, dagger, hermitian_eigenvalues, hs_norm, kron, partial_trace
+from .linalg import HERMITICITY_TOL, ID2, PAULIS, dagger, hermitian_eigenvalues, hs_norm, kron
+from .linalg import partial_trace
 
-HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
 BD_FORM_TOL = 1e-10
@@ -99,12 +99,16 @@ def bd_eigenvalues(c) -> np.ndarray:
 def check_bd(c) -> np.ndarray:
     """Validate a coefficient triple; returns it as an array.
 
-    The triple is physical iff every closed-form eigenvalue is nonnegative.
+    The triple is physical iff it is finite and every closed-form
+    eigenvalue is nonnegative.
     """
     arr = bd_coeffs(c)
     lam = bd_eigenvalues(arr)
     low = float(np.min(lam))
-    if low < -BD_EIG_TOL or float(np.max(lam)) > 1 + BD_EIG_TOL:
+    # NaN fails this test too, and a non-finite triple has a NaN or infinite eigenvalue.
+    if not (low >= -BD_EIG_TOL and float(np.max(lam)) <= 1 + BD_EIG_TOL):
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"coefficients must be finite, got {arr.tolist()}")
         raise NotPSDError(
             f"coefficients {arr.tolist()} give eigenvalues outside [0, 1]: {lam.tolist()}",
             violation=abs(low),

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from qcorr import cli
 from qcorr.cli import main
 from qcorr.states import bd_matrix, state_to_dict
 
@@ -37,6 +38,11 @@ class TestAnalyze:
     def test_invalid_state_exits_1(self, capsys):
         assert run(["analyze", "--bd", "1,1,1"]) == 1
         assert "NotPSD" in capsys.readouterr().err
+
+    def test_non_finite_value_is_not_written_as_json(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "d_a_optimized", lambda c: float("nan"))
+        assert run(["analyze", "--bd", "0.6,-0.6,0.6"]) == 1
+        assert capsys.readouterr().out == ""
 
     def test_malformed_triple_exits_1(self):
         assert run(["analyze", "--bd", "0.6,x,0"]) == 1
@@ -127,6 +133,12 @@ class TestEvolve:
         assert run(["evolve", "--bd", "0.5,0,0", "--steps", "0"]) == 1
         assert run(["evolve", "--bd", "0.5,0,0", "--t-max", "-1"]) == 1
 
+    def test_non_finite_t_max_exits_1(self, tmp_path):
+        out = tmp_path / "traj.csv"
+        for value in ("nan", "inf"):
+            assert run(["evolve", "--bd", "0.5,0,0", "--t-max", value, "--out", str(out)]) == 1
+        assert not out.exists()
+
     def test_json_format(self, tmp_path):
         out = tmp_path / "traj.json"
         assert run(["evolve", "--bd", "1,-0.6,0.6", "--steps", "4", "--format", "json",
@@ -150,9 +162,24 @@ class TestOracle:
         gaps = json.loads(out.read_text())["gaps"]
         assert all(v <= 1e-12 for v in gaps.values())
 
-    def test_injected_bug_exits_2(self, capsys):
-        assert run(["oracle", "--n", "2", "--inject-bug"]) == 2
+    def test_injected_bug_exits_2(self, capsys, monkeypatch):
+        numeric = cli.classical_correlations_numeric
+
+        def off_by_1e_3(rho, config=None):
+            value, s = numeric(rho, config)
+            return value + 1e-3, s
+
+        monkeypatch.setattr(cli, "classical_correlations_numeric", off_by_1e_3)
+        assert run(["oracle", "--n", "2"]) == 2
         assert "worst state" in capsys.readouterr().out
+
+    def test_bad_tol_exits_1(self, capsys):
+        """NaN printed FAIL yet exited 0; a negative tolerance crashed on the worst state."""
+        for tol in ("nan", "inf", "-1"):
+            assert run(["oracle", "--n", "1", "--bd", "0,0,0", "--tol", tol]) == 1
+            captured = capsys.readouterr()
+            assert "--tol" in captured.err
+            assert "FAIL" not in captured.out
 
     def test_bad_n(self):
         assert run(["oracle", "--n", "0"]) == 1

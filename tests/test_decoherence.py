@@ -32,6 +32,11 @@ class TestChannelSpec:
         with pytest.raises(ValueError):
             ChannelSpec(k=2, gamma=-0.5)
 
+    @pytest.mark.parametrize("gamma", [np.inf, np.nan])
+    def test_non_finite_rate(self, gamma):
+        with pytest.raises(ValueError, match="finite"):
+            ChannelSpec(k=3, gamma=gamma)
+
 
 class TestKraus:
     def test_completeness(self):

@@ -96,7 +96,7 @@ class TestHermitianEigenvalues:
     def test_matches_independent_solver(self):
         """Jacobi sweep agrees with LAPACK on random Hermitian matrices."""
         rng = np.random.default_rng(42)
-        for n in (2, 3, 4):
+        for n in (2, 4):
             for _ in range(100):
                 h = random_hermitian(rng, n)
                 got = hermitian_eigenvalues(h)
@@ -133,8 +133,9 @@ class TestHermitianEigenvalues:
             hermitian_eigenvalues(m)
 
     def test_rejects_unsupported_dimension(self):
-        with pytest.raises(ValueError):
-            hermitian_eigenvalues(np.eye(5))
+        for n in (3, 5):
+            with pytest.raises(ValueError):
+                hermitian_eigenvalues(np.eye(n))
 
 
 class TestNormsAndCommutators:

@@ -23,6 +23,21 @@ FAST = SearchConfig(grid_points=200)
 
 COMPUTATIONAL = np.array([1.0, 0, 0, 0])
 
+# Bell-diagonal states where two axis values of the d_A objective are close.
+# The first six sent a single-start search into the wrong axis basin; the
+# last three have near-tied |c_i| (flat valleys and near-cone tips).
+HARD_DA_STATES = [
+    [0.14766674681390102, -0.937012857543081, 0.1560569039451163],
+    [-0.10279272788120536, 0.7308232318275789, -0.09419117796263937],
+    [0.08430884284296025, -0.662226272381129, 0.0934705185456659],
+    [0.08192205668550123, 0.5414145217216695, 0.08822398566864686],
+    [-0.014082874130415812, 0.747002919458295, -0.011522600142974404],
+    [0.1072891030956592, 0.12003066072367674, -0.8993158228218336],
+    [-0.6416064494293993, -0.20724307319862656, -0.20580903544915338],
+    [0.2659102075107623, 0.2655902582662984, -0.9036254649106568],
+    [0.7680810237321235, 0.7679477629332344, -0.9873758042597378],
+]
+
 
 def random_unit(rng, dim):
     v = rng.standard_normal(dim)
@@ -170,6 +185,11 @@ class TestNumericMinimizer:
             _, s_best = d_a_numeric(bd, FAST)
             z = np.abs(z_vector(s_best))
             assert np.max(z) == pytest.approx(1.0, abs=1e-4)
+
+    @pytest.mark.parametrize("c", HARD_DA_STATES)
+    def test_finds_the_axis_minimum_on_hard_states(self, c):
+        val, _ = d_a_numeric(c)
+        assert abs(val - d_a_optimized(c)) <= 1e-12
 
     def test_deterministic(self):
         v1, s1 = d_a_numeric([0.5, -0.3, 0.2], FAST)

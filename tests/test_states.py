@@ -74,6 +74,11 @@ class TestBDEigenvalues:
         with pytest.raises(NotPSDError):
             check_bd([1.0, 1.0, -0.5])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_triple_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            check_bd([bad, 0.0, 0.0])
+
 
 class TestValidate:
     def test_accepts_bd_matrix(self):
