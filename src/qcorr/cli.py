@@ -17,6 +17,7 @@ Exit codes: 0 success, 1 invalid input, 2 tolerance breach (oracle).
 """
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -51,6 +52,9 @@ from .states import (
 )
 
 CSV_HEADER = "t,c1,c2,c3,I,J,D,dA,axis,T11,T22,T33"
+# One row; "%.9g" spells a float exactly as _fmt does once -0.0 is folded.
+_CSV_ROW = ",".join(["%.9g"] * 8 + ["%d"] + ["%.9g"] * 3) + "\n"
+_CSV_CHUNK = 1024
 
 
 class _Parser(argparse.ArgumentParser):
@@ -145,19 +149,27 @@ def _load_bd_or_dense(args):
     return "dense", rho
 
 
+def _open_out(args):
+    """The --out file, or stdout, which stays open after the with block."""
+    return open(args.out, "w", newline="\n") if args.out else contextlib.nullcontext(sys.stdout)
+
+
 def _write_text(args, text: str) -> None:
-    if args.out:
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _open_out(args) as fh:
+        fh.write(text)
 
 
-def _csv_line(t, c, rep: CorrelationReport, d_a, axis, t_diag) -> str:
-    cells = [_fmt(v) for v in (t, c[0], c[1], c[2], rep.mutual_info, rep.classical, rep.discord, d_a)]
-    cells.append(str(axis if axis is not None else 0))
-    cells.extend(_fmt(v) for v in t_diag)
-    return ",".join(cells)
+def _write_csv(args, rows: np.ndarray) -> None:
+    """Write CSV_HEADER and an (n, 12) array of rows in CSV_HEADER's column order.
+
+    Rows are formatted and written in fixed chunks, so the whole text is
+    never held at once.
+    """
+    rows = rows + 0.0  # fold -0.0 into one spelling
+    with _open_out(args) as fh:
+        fh.write(CSV_HEADER + "\n")
+        for start in range(0, len(rows), _CSV_CHUNK):
+            fh.writelines([_CSV_ROW % tuple(row) for row in rows[start:start + _CSV_CHUNK].tolist()])
 
 
 def cmd_analyze(args) -> int:
@@ -186,10 +198,9 @@ def cmd_analyze(args) -> int:
         t_after = fano_decompose(post_measurement_state(rho, pvm_from_s(s_best))).t
 
     if args.format == "csv":
-        body = CSV_HEADER + "\n" + _csv_line(
-            0.0, fano.t.diagonal() if kind == "dense" else state.coeffs,
-            rep, d_a, axis, t_after.diagonal()) + "\n"
-        _write_text(args, body)
+        c = fano.t.diagonal() if kind == "dense" else state.coeffs
+        _write_csv(args, np.array([[0.0, *c, rep.mutual_info, rep.classical, rep.discord, d_a,
+                                    axis or 0, *t_after.diagonal()]]))
     else:
         payload = rep.to_dict()
         payload.update(
@@ -245,11 +256,10 @@ def cmd_evolve(args) -> int:
             meta["t_star"] = t_star
 
     if args.format == "csv":
-        lines = [CSV_HEADER]
-        for pt in points:
-            lines.append(_csv_line(pt.t, pt.c.coeffs, pt.report, pt.d_a,
-                                   pt.optimal_axis, pt.t_matrix_after.diagonal()))
-        _write_text(args, "\n".join(lines) + "\n")
+        _write_csv(args, np.column_stack([
+            points.t, points.c, points.mutual_info, points.classical, points.discord, points.d_a,
+            points.optimal_axis, np.diagonal(points.t_matrix_after, axis1=1, axis2=2),
+        ]))
     else:
         rows = []
         for pt in points:

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import ID2, PAULIS, hermitian_eigenvalues, partial_trace
-from .measurement import s_from_z
+from .measurement import optimal_axis_rows, s_from_z
 from .search import SearchConfig, maximize_on_sphere
-from .states import BDState, NotPSDError, bd_coeffs, bd_eigenvalues, bd_matrix, check_bd, validate
+from .states import BDState, NotPSDError, bd_coeffs, bd_matrix, check_bd, check_bd_rows, validate
 
 EIG_CLAMP = 1e-10
 
@@ -30,14 +30,18 @@ def _entropy_of_probs(lam, clamp: float = EIG_CLAMP) -> float:
     return float(-np.sum(pos * np.log2(pos)))
 
 
+def _h2(p):
+    """H2 in bits, elementwise, for probabilities already clamped to [0, 1]."""
+    inside = (p > 0.0) & (p < 1.0)
+    p = np.where(inside, p, 0.5)
+    return np.where(inside, -p * np.log2(p) - (1 - p) * np.log2(1 - p), 0.0)
+
+
 def binary_entropy(p: float) -> float:
     """H2(p) in bits."""
     if p < -1e-12 or p > 1 + 1e-12:
         raise ValueError(f"probability out of range: {p}")
-    p = min(max(p, 0.0), 1.0)
-    if p in (0.0, 1.0):
-        return 0.0
-    return float(-p * np.log2(p) - (1 - p) * np.log2(1 - p))
+    return float(_h2(min(max(p, 0.0), 1.0)))
 
 
 def von_neumann_entropy(rho) -> float:
@@ -63,9 +67,30 @@ def mutual_information(rho) -> float:
     )
 
 
+def bd_report_rows(c: np.ndarray, lam: np.ndarray):
+    """Closed-form I, J, D, optimal axis and theta* per row of an (n, 3) array.
+
+    lam holds the rows' (n, 4) eigenvalues from check_bd_rows.  Both
+    marginals are maximally mixed, so I = 2 - S(rho); the optimal
+    measurement lies along the axis of the largest |c_i| (ties to the
+    lowest index) and yields J = 1 - H2((1 + max|c_i|)/2).
+    """
+    mi = 2.0 - _entropy_batch(lam)
+    cmax = np.abs(c).max(axis=1)
+    j = 1.0 - _h2(np.minimum((1.0 + cmax) / 2.0, 1.0))
+    return mi, j, mi - j, optimal_axis_rows(c), cmax
+
+
+def _report_bd_row(c) -> tuple:
+    """bd_report_rows for one triple, as Python numbers."""
+    c = bd_coeffs(c)[None]
+    mi, j, d, axis, cmax = bd_report_rows(c, check_bd_rows(c))
+    return float(mi[0]), float(j[0]), float(d[0]), int(axis[0]), float(cmax[0])
+
+
 def mutual_information_bd(c) -> float:
     """Closed form for Bell-diagonal states: both marginals are maximally mixed."""
-    return 2.0 - _entropy_of_probs(bd_eigenvalues(check_bd(c)))
+    return _report_bd_row(c)[0]
 
 
 def classical_correlations_bd(c) -> tuple[float, int]:
@@ -74,10 +99,8 @@ def classical_correlations_bd(c) -> tuple[float, int]:
     The optimal measurement lies along the axis of the largest |c_i| and
     yields J = 1 - H2((1 + max|c_i|)/2).  Returns (value, axis).
     """
-    c = check_bd(c)
-    axis = int(np.argmax(np.abs(c))) + 1
-    cmax = float(np.abs(c)[axis - 1])
-    return 1.0 - binary_entropy((1.0 + cmax) / 2.0), axis
+    _, j, _, axis, _ = _report_bd_row(c)
+    return j, axis
 
 
 def _batch_projectors(z: np.ndarray) -> np.ndarray:
@@ -225,16 +248,8 @@ class CorrelationReport:
 
 def report_bd(c) -> CorrelationReport:
     """Closed-form correlation report for a Bell-diagonal state."""
-    c = check_bd(c)
-    mi = mutual_information_bd(c)
-    j, axis = classical_correlations_bd(c)
-    return CorrelationReport(
-        mutual_info=mi,
-        classical=j,
-        discord=mi - j,
-        optimal_axis=axis,
-        theta_star=float(np.max(np.abs(c))),
-    )
+    mi, j, d, axis, cmax = _report_bd_row(c)
+    return CorrelationReport(mutual_info=mi, classical=j, discord=d, optimal_axis=axis, theta_star=cmax)
 
 
 def report_numeric(rho, config: SearchConfig | None = None) -> CorrelationReport:

@@ -11,15 +11,16 @@ sudden-transition / freezing regime.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .correlations import CorrelationReport, report_bd
+from .correlations import CorrelationReport, bd_report_rows
 from .linalg import ID2, PAULIS, dagger, kron
-from .measurement import optimal_s, t_after_measurement
-from .ncm import d_a_optimized
-from .states import BDState, bd_coeffs, check_bd
+from .measurement import OPTIMAL_Z, t_after_rows
+from .ncm import d_a_optimized_rows
+from .states import BDState, bd_coeffs, check_bd, check_bd_rows
 
 FREEZE_TOL = 1e-12
 
@@ -61,13 +62,16 @@ def apply_channel(rho, spec: ChannelSpec, t: float) -> np.ndarray:
     return out
 
 
+def _c_rows(c0: np.ndarray, spec: ChannelSpec, t: np.ndarray) -> np.ndarray:
+    """Coefficients of a valid c0 at each time of a 1-D array, as an (n, 3) array."""
+    c = c0 * np.exp(-2.0 * spec.gamma * t)[:, None]
+    c[:, spec.k - 1] = c0[spec.k - 1]
+    return c
+
+
 def c_trajectory(c0, spec: ChannelSpec, t: float) -> BDState:
     """Coefficients at time t: protected axis constant, others damped."""
-    c0 = check_bd(c0)
-    decay = np.exp(-2.0 * spec.gamma * t)
-    c = c0 * decay
-    c[spec.k - 1] = c0[spec.k - 1]
-    return BDState.from_seq(c)
+    return BDState.from_seq(_c_rows(check_bd(c0), spec, np.array([float(t)]))[0])
 
 
 def is_freezing_initial(c0, spec: ChannelSpec) -> bool:
@@ -116,27 +120,79 @@ class TrajectoryPoint:
     optimal_axis: int
 
 
-def trajectory(c0, spec: ChannelSpec, t_grid) -> list[TrajectoryPoint]:
-    """Evaluate the closed-form measures along a time grid.
+@dataclass(frozen=True, eq=False)
+class Trajectory(Sequence):
+    """All tracked quantities along a time grid, one read-only column each.
 
-    Each point carries the correlation report, the basis-minimized
+    Row i belongs to t[i]: c is (n, 3), t_matrix_after is (n, 3, 3) and the
+    other columns are (n,).  It is also a sequence of TrajectoryPoint, each
+    built with Python numbers when accessed.
+    """
+
+    t: np.ndarray
+    c: np.ndarray
+    mutual_info: np.ndarray
+    classical: np.ndarray
+    discord: np.ndarray
+    theta_star: np.ndarray
+    d_a: np.ndarray
+    optimal_axis: np.ndarray
+    t_matrix_after: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        for f in fields(self):
+            getattr(self, f.name).flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, i):
+        rows = range(len(self.t))[i]
+        if isinstance(rows, range):
+            return [self._point(r) for r in rows]
+        return self._point(rows)
+
+    def _point(self, r: int) -> TrajectoryPoint:
+        axis = int(self.optimal_axis[r])
+        report = CorrelationReport(
+            mutual_info=float(self.mutual_info[r]),
+            classical=float(self.classical[r]),
+            discord=float(self.discord[r]),
+            optimal_axis=axis,
+            theta_star=float(self.theta_star[r]),
+        )
+        return TrajectoryPoint(
+            t=float(self.t[r]),
+            c=BDState.from_seq(self.c[r]),
+            report=report,
+            d_a=float(self.d_a[r]),
+            t_matrix_after=self.t_matrix_after[r].copy(),
+            optimal_axis=axis,
+        )
+
+
+def trajectory(c0, spec: ChannelSpec, t_grid) -> Trajectory:
+    """Evaluate the closed-form measures along a 1-D time grid.
+
+    Each row carries the correlation report, the basis-minimized
     non-commutativity measure, and the covariance left by the optimal
-    measurement.
+    measurement.  c0 is validated once; the coefficients at every time are
+    checked together.
     """
     c0 = check_bd(c0)
-    points = []
-    for t in np.asarray(t_grid, dtype=float):
-        c_t = c_trajectory(c0, spec, float(t))
-        rep = report_bd(c_t)
-        s_opt, _, axis = optimal_s(c_t)
-        points.append(
-            TrajectoryPoint(
-                t=float(t),
-                c=c_t,
-                report=rep,
-                d_a=d_a_optimized(c_t),
-                t_matrix_after=t_after_measurement(c_t, s_opt),
-                optimal_axis=axis,
-            )
-        )
-    return points
+    t = np.array(t_grid, dtype=float)
+    if t.ndim != 1:
+        raise ValueError(f"time grid must be one-dimensional, got shape {t.shape}")
+    c = _c_rows(c0, spec, t)
+    mi, j, d, axis, theta_star = bd_report_rows(c, check_bd_rows(c))
+    return Trajectory(
+        t=t,
+        c=c,
+        mutual_info=mi,
+        classical=j,
+        discord=d,
+        theta_star=theta_star,
+        d_a=d_a_optimized_rows(c),
+        optimal_axis=axis,
+        t_matrix_after=t_after_rows(c, OPTIMAL_Z[axis - 1]),
+    )

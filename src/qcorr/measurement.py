@@ -147,15 +147,27 @@ def post_measurement_state(rho, pvm: Pvm) -> np.ndarray:
     return out
 
 
+# z_vector(OPTIMAL_S[k]) in row k - 1, as the scalar route computes it.
+OPTIMAL_Z = np.array([z_vector(OPTIMAL_S[k]) for k in (1, 2, 3)])
+
+
+def t_after_rows(c: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """t_after_measurement per row: (n, 3) coefficients and (n, 3) directions to (n, 3, 3)."""
+    return z[:, :, None] * (c * z)[:, None, :]
+
+
 def t_after_measurement(c, s) -> np.ndarray:
     """Covariance matrix of the post-measurement Bell-diagonal state.
 
     Closed form T_ij = c_j z_i z_j; rank one, and diagonal exactly when z is
     a coordinate axis.
     """
-    c = bd_coeffs(c)
-    z = z_vector(s)
-    return np.outer(z, c * z)
+    return t_after_rows(bd_coeffs(c)[None], z_vector(s)[None])[0]
+
+
+def optimal_axis_rows(c: np.ndarray) -> np.ndarray:
+    """1-based index of the largest |c_i| per row of an (n, 3) array; ties go to the lowest index."""
+    return np.argmax(np.abs(c), axis=1) + 1
 
 
 def optimal_s(c):
@@ -165,5 +177,5 @@ def optimal_s(c):
     |c_i|; ties resolve to the smallest index.  theta(c, s) == c_max.
     """
     c = bd_coeffs(c)
-    axis = int(np.argmax(np.abs(c))) + 1
+    axis = int(optimal_axis_rows(c[None])[0])
     return OPTIMAL_S[axis].copy(), float(np.abs(c)[axis - 1]), axis

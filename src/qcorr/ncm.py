@@ -83,19 +83,26 @@ def d_a_bd_closed(c, s) -> float:
     return float(_closed_from_z(a, z_vector(s)[None])[0])
 
 
+def d_a_optimized_rows(c: np.ndarray) -> np.ndarray:
+    """d_a_optimized per row of an (n, 3) array of valid coefficients."""
+    c1, c2, c3 = c[:, 0], c[:, 1], c[:, 2]
+    p12, p13, p23 = c1 * c2, c1 * c3, c2 * c3
+    s12, s13, s23 = p12 * p12, p13 * p13, p23 * p23
+    candidates = np.stack([
+        np.abs(p12) + 2.0 * np.sqrt(s23 + s13),
+        np.abs(p23) + 2.0 * np.sqrt(s12 + s13),
+        np.abs(p13) + 2.0 * np.sqrt(s12 + s23),
+    ], axis=1)
+    return candidates.min(axis=1) / _SQRT8
+
+
 def d_a_optimized(c) -> float:
     """Basis-minimized measure for a Bell-diagonal state.
 
     The minimum over bases sits at a coordinate axis of the z sphere; the
     three axis values have closed forms and the smallest wins.
     """
-    c1, c2, c3 = check_bd(c)
-    candidates = (
-        abs(c1 * c2) + 2.0 * np.sqrt((c2 * c3) ** 2 + (c1 * c3) ** 2),
-        abs(c2 * c3) + 2.0 * np.sqrt((c1 * c2) ** 2 + (c1 * c3) ** 2),
-        abs(c1 * c3) + 2.0 * np.sqrt((c1 * c2) ** 2 + (c2 * c3) ** 2),
-    )
-    return float(min(candidates) / _SQRT8)
+    return float(d_a_optimized_rows(check_bd(c)[None])[0])
 
 
 def d_a_numeric(c, config: SearchConfig | None = None) -> tuple[float, np.ndarray]:

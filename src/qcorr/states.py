@@ -48,6 +48,10 @@ class NotBellDiagonalError(StateError):
     pass
 
 
+class NotFiniteError(StateError):
+    pass
+
+
 @dataclass(frozen=True)
 class BDState:
     """Bell-diagonal state, identified by its three correlation coefficients."""
@@ -85,15 +89,37 @@ def bd_coeffs(c) -> np.ndarray:
     return arr
 
 
+def bd_eigenvalue_rows(c: np.ndarray) -> np.ndarray:
+    """The four closed-form eigenvalues, in their defining order, per row of an (n, 3) array."""
+    c1, c2, c3 = c[:, 0], c[:, 1], c[:, 2]
+    lo, hi = 1 - c1, 1 + c1
+    return np.stack([lo - c2 - c3, lo + c2 + c3, hi - c2 + c3, hi + c2 - c3], axis=1) / 4
+
+
 def bd_eigenvalues(c) -> np.ndarray:
     """The four closed-form eigenvalues, in their defining order."""
-    c1, c2, c3 = bd_coeffs(c)
-    return np.array([
-        (1 - c1 - c2 - c3) / 4,
-        (1 - c1 + c2 + c3) / 4,
-        (1 + c1 - c2 + c3) / 4,
-        (1 + c1 + c2 - c3) / 4,
-    ])
+    return bd_eigenvalue_rows(bd_coeffs(c)[None])[0]
+
+
+def check_bd_rows(c: np.ndarray) -> np.ndarray:
+    """Validate each row of an (n, 3) coefficient array; returns its (n, 4) eigenvalues.
+
+    A row is physical iff it is finite and every closed-form eigenvalue
+    lies in [0, 1], within 1e-12.  The first failing row is reported.
+    """
+    lam = bd_eigenvalue_rows(c)
+    # NaN fails this test too, and a non-finite row has a NaN or infinite eigenvalue.
+    if lam.size and not (lam.min() >= -BD_EIG_TOL and lam.max() <= 1 + BD_EIG_TOL):
+        ok = (lam.min(axis=1) >= -BD_EIG_TOL) & (lam.max(axis=1) <= 1 + BD_EIG_TOL)
+        row = int(np.argmin(ok))
+        arr, lam_row = c[row], lam[row]
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"coefficients must be finite, got {arr.tolist()}")
+        raise NotPSDError(
+            f"coefficients {arr.tolist()} give eigenvalues outside [0, 1]: {lam_row.tolist()}",
+            violation=abs(float(np.min(lam_row))),
+        )
+    return lam
 
 
 def check_bd(c) -> np.ndarray:
@@ -103,16 +129,7 @@ def check_bd(c) -> np.ndarray:
     eigenvalue is nonnegative.
     """
     arr = bd_coeffs(c)
-    lam = bd_eigenvalues(arr)
-    low = float(np.min(lam))
-    # NaN fails this test too, and a non-finite triple has a NaN or infinite eigenvalue.
-    if not (low >= -BD_EIG_TOL and float(np.max(lam)) <= 1 + BD_EIG_TOL):
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"coefficients must be finite, got {arr.tolist()}")
-        raise NotPSDError(
-            f"coefficients {arr.tolist()} give eigenvalues outside [0, 1]: {lam.tolist()}",
-            violation=abs(low),
-        )
+    check_bd_rows(arr[None])
     return arr
 
 
@@ -128,12 +145,15 @@ def bd_matrix(c) -> np.ndarray:
 def validate(rho) -> np.ndarray:
     """Check Hermiticity, unit trace and positivity; returns the matrix.
 
-    Raises NonHermitianError, TraceNotOneError or NotPSDError with the
-    measured violation attached.
+    Raises NotFiniteError, NonHermitianError, TraceNotOneError or
+    NotPSDError with the measured violation attached.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 density matrix, got shape {rho.shape}")
+    bad = int(np.count_nonzero(~np.isfinite(rho)))
+    if bad:
+        raise NotFiniteError(f"{bad} of 16 entries are not finite", violation=np.inf)
     herm_gap = hs_norm(rho - dagger(rho))
     if herm_gap > HERMITICITY_TOL:
         raise NonHermitianError(f"||rho - rho^dag||_2 = {herm_gap:.3e}", violation=herm_gap)

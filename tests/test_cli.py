@@ -1,15 +1,19 @@
 """End-to-end tests of the command-line interface via main(argv)."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qcorr import cli
 from qcorr.cli import main
+from qcorr.decoherence import ChannelSpec, trajectory
 from qcorr.states import bd_matrix, state_to_dict
 
 T_STAR = 0.25541281188299536
+GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden.json"
 
 
 def run(argv):
@@ -77,6 +81,16 @@ class TestAnalyze:
         assert report["discord"] == pytest.approx(s_a, abs=1e-7)
         assert report["optimal_axis"] is None
 
+    @pytest.mark.parametrize("entry, value", [((0, 1), float("nan")), ((0, 0), float("inf"))])
+    def test_non_finite_state_file_exits_1(self, tmp_path, capsys, entry, value):
+        """A NaN off-diagonal escaped main() as a RuntimeError traceback."""
+        state = state_to_dict(bd_matrix([0.3, -0.2, 0.1]))
+        state["re"][entry[0]][entry[1]] = value
+        src = tmp_path / "state.json"
+        src.write_text(json.dumps(state))
+        assert run(["analyze", "--state", str(src)]) == 1
+        assert "error: NotFiniteError:" in capsys.readouterr().err
+
     def test_missing_file_exits_1(self, tmp_path):
         assert run(["analyze", "--state", str(tmp_path / "nope.json")]) == 1
 
@@ -122,9 +136,39 @@ class TestEvolve:
                     "--out", str(traj)]) == 0
         assert run(["analyze", "--bd", "0.3,-0.4,0.5", "--format", "csv",
                     "--out", str(single)]) == 0
-        row_e = [float(x) for x in traj.read_text().splitlines()[1].split(",")]
-        row_a = [float(x) for x in single.read_text().splitlines()[1].split(",")]
-        np.testing.assert_allclose(row_e, row_a, atol=1e-12)
+        assert traj.read_bytes() == single.read_bytes()
+
+    def test_csv_rows_match_points(self, tmp_path):
+        """2049 rows cross two chunk boundaries; each row spells its point's fields as format(x, ".9g")."""
+        out = tmp_path / "traj.csv"
+        assert run(["evolve", "--bd", "1,-0.6,0.6", "--k", "3", "--t-max", "1", "--steps", "2049",
+                    "--out", str(out)]) == 0
+        points = trajectory([1.0, -0.6, 0.6], ChannelSpec(k=3, gamma=1.0), np.linspace(0.0, 1.0, 2049))
+        assert any(np.signbit(pt.t_matrix_after).any() for pt in points)
+
+        def cell(x):
+            return format(0.0 if x == 0 else float(x), ".9g")
+
+        lines = [cli.CSV_HEADER]
+        for pt in points:
+            rep = pt.report
+            cells = [cell(x) for x in (pt.t, *pt.c.coeffs, rep.mutual_info, rep.classical, rep.discord, pt.d_a)]
+            cells.append(str(pt.optimal_axis))
+            cells.extend(cell(x) for x in pt.t_matrix_after.diagonal())
+            lines.append(",".join(cells))
+        assert out.read_text() == "\n".join(lines) + "\n"
+
+    def test_reference_trajectories_match_golden_digests(self, tmp_path):
+        golden = json.loads(GOLDEN.read_text())
+        out = tmp_path / "traj.csv"
+        for label, digests in golden["cases"].items():
+            bd, k = label.split(" k=")
+            assert run(["evolve", f"--bd={bd}", "--k", k, "--gamma", repr(golden["gamma"]),
+                        "--t-max", repr(golden["t_max"]), "--steps", str(golden["steps"]),
+                        "--out", str(out)]) == 0
+            got = {"csv": hashlib.sha256(out.read_bytes()).hexdigest(),
+                   "meta": hashlib.sha256((tmp_path / "traj.csv.meta.json").read_bytes()).hexdigest()}
+            assert got == digests, label
 
     def test_invalid_initial_state(self):
         assert run(["evolve", "--bd", "1,1,1"]) == 1

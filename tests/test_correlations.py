@@ -104,6 +104,10 @@ class TestClassicalCorrelations:
         j, _ = classical_correlations_bd([0, 0, 0])
         assert j == 0.0
 
+    def test_coefficient_just_above_one(self):
+        """check_bd accepts |c_1| up to about 1 + 4e-12; J used to raise for (1 + 3e-12, 0, 0)."""
+        assert classical_correlations_bd([1 + 3e-12, 0.0, 0.0]) == (1.0, 1)
+
     def test_measured_term_decreases_with_theta(self):
         """Larger effective correlation always means a sharper conditional."""
         rng = np.random.default_rng(8)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qcorr.correlations import binary_entropy
+from qcorr.correlations import binary_entropy, report_bd
 from qcorr.decoherence import (
     ChannelSpec,
     apply_channel,
@@ -14,9 +14,16 @@ from qcorr.decoherence import (
     trajectory,
 )
 from qcorr.linalg import ID2, dagger
+from qcorr.measurement import optimal_s, t_after_measurement
+from qcorr.ncm import d_a_optimized
 from qcorr.states import bd_eigenvalues, bd_extract, bd_matrix, sample_bd, validate
 
 T_STAR = 0.25541281188299536  # -ln(0.6) / 2
+# Corners, faces and ties of the tetrahedron of valid coefficients.
+EDGE_STATES = [
+    (1.0, -1.0, 1.0), (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.5, 0.5, 0.0), (1.0, 1.0, -1.0),
+    (-1.0, -1.0, -1.0), (1.0, -0.6, 0.6), (0.5, -0.5, 0.5), (0.0, 0.0, -1.0), (0.3, -0.3, 0.1),
+]
 
 
 class TestChannelSpec:
@@ -186,3 +193,45 @@ class TestTrajectory:
         expected_t[0, 0] = 1.0
         np.testing.assert_allclose(pt.t_matrix_after, expected_t, atol=1e-14)
         assert pt.optimal_axis == 1
+
+
+class TestColumnarTrajectory:
+    def test_points_equal_scalar_routes(self):
+        """Every column entry is exactly what the per-state functions give at that time."""
+        rng = np.random.default_rng(66)
+        grid = np.sort(np.append(np.linspace(0.0, 2.0, 17), T_STAR))
+        starts = [bd.coeffs for bd in sample_bd(10, rng)] + [np.array(c) for c in EDGE_STATES]
+        for c0 in starts:
+            for k, gamma in ((1, 0.0), (2, float(rng.uniform(0.1, 3.0))), (3, 1.0)):
+                spec = ChannelSpec(k=k, gamma=gamma)
+                traj = trajectory(c0, spec, grid)
+                assert len(traj) == len(grid)
+                for t, pt in zip(grid, traj):
+                    c_t = c_trajectory(c0, spec, t)
+                    s, _, axis = optimal_s(c_t)
+                    t_after = t_after_measurement(c_t, s)
+                    assert pt.t == t
+                    assert pt.c == c_t
+                    assert pt.report == report_bd(c_t)
+                    assert pt.d_a == d_a_optimized(c_t)
+                    assert pt.optimal_axis == axis
+                    assert np.array_equal(pt.t_matrix_after, t_after)
+                    assert np.array_equal(np.signbit(pt.t_matrix_after), np.signbit(t_after))
+
+    def test_sequence_of_points(self):
+        traj = trajectory([1.0, -0.6, 0.6], ChannelSpec(k=3, gamma=1.0), [0.0, 0.5, 1.0])
+        assert len(traj) == 3
+        assert traj[-1].t == 1.0
+        assert [pt.t for pt in traj[1:]] == [0.5, 1.0]
+        with pytest.raises(IndexError):
+            traj[3]
+        assert traj.optimal_axis.tolist() == [1, 3, 3]
+        pt = traj[1]
+        assert pt.d_a == traj.d_a[1]
+        assert type(pt.d_a) is float and type(pt.optimal_axis) is int and type(pt.report.optimal_axis) is int
+        with pytest.raises(ValueError):
+            traj.d_a[0] = 0.0
+
+    def test_rejects_non_vector_grid(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            trajectory([0.5, 0.0, 0.0], ChannelSpec(k=3, gamma=1.0), [[0.0, 1.0]])

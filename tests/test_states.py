@@ -11,12 +11,14 @@ from qcorr.states import (
     FanoDecomposition,
     NonHermitianError,
     NotBellDiagonalError,
+    NotFiniteError,
     NotPSDError,
     TraceNotOneError,
     bd_eigenvalues,
     bd_extract,
     bd_matrix,
     check_bd,
+    check_bd_rows,
     fano_compose,
     fano_decompose,
     marginal,
@@ -79,6 +81,14 @@ class TestBDEigenvalues:
         with pytest.raises(ValueError, match="finite"):
             check_bd([bad, 0.0, 0.0])
 
+    def test_rows_check_reports_first_bad_row(self):
+        c = np.array([[0.1, 0.2, 0.3], [1.0, 1.0, -0.5], [np.nan, 0.0, 0.0]])
+        with pytest.raises(NotPSDError, match=r"\[1\.0, 1\.0, -0\.5\]"):
+            check_bd_rows(c)
+        with pytest.raises(ValueError, match="finite"):
+            check_bd_rows(c[[0, 2]])
+        np.testing.assert_array_equal(check_bd_rows(c[:1]), bd_eigenvalues(c[0])[None])
+
 
 class TestValidate:
     def test_accepts_bd_matrix(self):
@@ -100,6 +110,19 @@ class TestValidate:
         with pytest.raises(NotPSDError) as err:
             validate(m)
         assert err.value.violation == pytest.approx(0.1, abs=1e-12)
+
+    @pytest.mark.parametrize("entry, value", [
+        ((0, 1), complex(np.nan, 0.0)),
+        ((0, 0), complex(np.inf, 0.0)),
+        ((2, 3), complex(0.0, -np.inf)),
+    ])
+    def test_non_finite_entry(self, entry, value):
+        """A NaN off-diagonal used to run the eigensolver to its sweep cap; an inf read as a trace error."""
+        m = bd_matrix([0.3, -0.2, 0.1])
+        m[entry] = value
+        with pytest.raises(NotFiniteError) as err:
+            validate(m)
+        assert err.value.violation == np.inf
 
     def test_tolerates_tiny_negative_eigenvalue(self):
         m = np.diag([0.5 + 5e-11, 0.5 + 5e-11, -5e-11, -5e-11]).astype(complex)
