@@ -119,6 +119,14 @@ class TrajectoryPoint:
     t_matrix_after: np.ndarray = field(repr=False)
     optimal_axis: int
 
+    def __eq__(self, other):
+        # The generated __eq__ would compare t_matrix_after elementwise, which has no truth value.
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.t, self.c, self.report, self.d_a, self.optimal_axis)
+                == (other.t, other.c, other.report, other.d_a, other.optimal_axis)
+                and np.array_equal(self.t_matrix_after, other.t_matrix_after))
+
 
 @dataclass(frozen=True, eq=False)
 class Trajectory(Sequence):

@@ -1,5 +1,7 @@
 """Tests for the local flip channels and Bell-diagonal dynamics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -231,6 +233,17 @@ class TestColumnarTrajectory:
         assert type(pt.d_a) is float and type(pt.optimal_axis) is int and type(pt.report.optimal_axis) is int
         with pytest.raises(ValueError):
             traj.d_a[0] = 0.0
+
+    def test_membership_index_and_count(self):
+        """Points compare by value, t_matrix_after included, so the Sequence mixins work."""
+        traj = trajectory([1.0, -0.6, 0.6], ChannelSpec(k=3, gamma=1.0), [0.0, 0.5, 0.5, 1.0])
+        assert traj[0] in traj
+        assert traj.index(traj[2]) == 1
+        assert traj.count(traj[1]) == 2
+        assert traj[0] != traj[1]
+        shifted = dataclasses.replace(traj[3], t_matrix_after=traj[3].t_matrix_after + 1.0)
+        assert shifted != traj[3]
+        assert shifted not in traj
 
     def test_rejects_non_vector_grid(self):
         with pytest.raises(ValueError, match="one-dimensional"):
