@@ -35,20 +35,20 @@ from .correlations import (
 )
 from .decoherence import ChannelSpec, freezing_time, is_freezing_initial, trajectory
 from .measurement import optimal_s, post_measurement_state, pvm_from_s, t_after_measurement
-from .ncm import d_a_basis_batch, d_a_numeric, d_a_optimized
-from .search import minimize_on_sphere
+from .ncm import d_a_minimized, d_a_numeric, d_a_optimized
 from .states import (
     BDState,
+    FanoDecomposition,
+    NotBellDiagonalError,
     StateError,
     bd_eigenvalues,
     bd_extract,
     bd_matrix,
     check_bd,
     fano_decompose,
-    is_bell_diagonal,
+    fano_vectors,
     load_state,
     sample_bd,
-    validate,
 )
 
 CSV_HEADER = "t,c1,c2,c3,I,J,D,dA,axis,T11,T22,T33"
@@ -139,14 +139,13 @@ def _load_bd_or_dense(args):
     if args.bd is not None:
         check_bd(args.bd.coeffs)
         return "bd", args.bd
-    state = load_state(args.state)
+    state = load_state(args.state)  # validated on parsing
     if isinstance(state, BDState):
-        check_bd(state.coeffs)
         return "bd", state
-    rho = validate(state)
-    if is_bell_diagonal(rho):
-        return "bd", bd_extract(rho)
-    return "dense", rho
+    try:
+        return "bd", bd_extract(state)
+    except NotBellDiagonalError:
+        return "dense", state
 
 
 def _open_out(args):
@@ -191,9 +190,10 @@ def cmd_analyze(args) -> int:
             mutual_info=i_val, classical=j_val, discord=i_val - j_val,
             optimal_axis=None, theta_star=None,
         )
-        d_a, _ = minimize_on_sphere(lambda z: d_a_basis_batch(rho, z), config)
+        a, b, r = fano_vectors(rho)
+        d_a = d_a_minimized(a, r, config)
         eigs = np.linalg.eigvalsh(rho)[::-1]
-        fano = fano_decompose(rho)
+        fano = FanoDecomposition.from_vectors(a, b, r)
         axis = None
         t_after = fano_decompose(post_measurement_state(rho, pvm_from_s(s_best))).t
 

@@ -4,6 +4,9 @@ correlations under optimal local measurement, and quantum discord.
 All entropies are in bits.  For Bell-diagonal states everything has a closed
 form; the numeric routines never use those closed forms, so the two paths
 cross-check each other.
+
+In the Fano form (a, b, R) of a state (states.fano_vectors), measuring A along z
+leaves B with the unnormalized conditional eigenvalues [(1 +/- a.z) +/- |b +/- R^T z|] / 4.
 """
 
 from __future__ import annotations
@@ -15,9 +18,11 @@ import numpy as np
 from .linalg import ID2, PAULIS, hermitian_eigenvalues, partial_trace
 from .measurement import optimal_axis_rows, s_from_z
 from .search import SearchConfig, maximize_on_sphere
-from .states import BDState, NotPSDError, bd_coeffs, bd_matrix, check_bd, check_bd_rows, validate
+from .states import BDState, NotPSDError, bd_coeffs, bd_matrix, check_bd, check_bd_rows, fano_vectors
+from .states import validate
 
 EIG_CLAMP = 1e-10
+_SIGNS = np.array([1.0, -1.0])
 
 
 def _entropy_of_probs(lam, clamp: float = EIG_CLAMP) -> float:
@@ -124,21 +129,25 @@ def _entropy_batch(lam: np.ndarray) -> np.ndarray:
     return np.sum(terms, axis=1)
 
 
-def _batch_measured_term(rho: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """sum_j p_j S(rho_B|j) for each row of an (n, 3) array of measurement directions."""
-    r = rho.reshape(2, 2, 2, 2)
-    m0 = _batch_projectors(z)
-    m1 = ID2[None, :, :] - m0
-    out = np.zeros(z.shape[0])
-    for m in (m0, m1):
-        # Unnormalized conditional: Tr_A[(M x I) rho]; its trace is p.
-        sub = np.einsum("nxy,ybxd->nbd", m, r)
-        p = np.einsum("nbb->n", sub).real
-        lam = _eig2_batch(sub)  # eigenvalues sum to p
-        safe_p = np.where(p > 1e-14, p, 1.0)
-        ent = _entropy_batch(lam / safe_p[:, None])
-        out += np.where(p > 1e-14, p * ent, 0.0)
-    return out
+def _measured_term(a: np.ndarray, b: np.ndarray, r: np.ndarray):
+    """Batched z -> sum_j p_j S(rho_B|j) for a state with Fano vectors a, b and correlation matrix R.
+
+    For each row z of an (n, 3) array, outcome j = +/- of the measurement
+    (I +/- z.sigma) / 2 on A has 2 p_j = 1 +/- a.z and leaves B in the state
+    (I + (b +/- R^T z).sigma / (2 p_j)) / 2.
+    """
+    ar = np.column_stack([a, r])  # z @ ar = [a.z, R^T z]
+
+    def term(z: np.ndarray) -> np.ndarray:
+        proj = z @ ar
+        p = (1.0 + proj[:, :1] * _SIGNS) / 2  # p_j, (n, 2)
+        d = b + proj[:, None, 1:] * _SIGNS[:, None]  # b +/- R^T z, (n, 2, 3)
+        ok = p > 1e-14
+        x = np.sqrt((d * d).sum(axis=2)) / (2 * np.where(ok, p, 1.0))  # Bloch radius of rho_B|j
+        ent = _entropy_batch(np.stack([1 + x, 1 - x], axis=2).reshape(-1, 2) / 2)
+        return np.where(ok, p * ent.reshape(p.shape), 0.0).sum(axis=1)
+
+    return term
 
 
 def classical_correlations_numeric(rho, config: SearchConfig | None = None) -> tuple[float, np.ndarray]:
@@ -150,7 +159,8 @@ def classical_correlations_numeric(rho, config: SearchConfig | None = None) -> t
     """
     rho = validate(rho)
     s_b = von_neumann_entropy(partial_trace(rho, "B"))
-    value, z_best = maximize_on_sphere(lambda z: s_b - _batch_measured_term(rho, z), config)
+    term = _measured_term(*fano_vectors(rho))
+    value, z_best = maximize_on_sphere(lambda z: s_b - term(z), config)
     return value, s_from_z(z_best)
 
 
@@ -183,7 +193,7 @@ def _as_density(state) -> np.ndarray:
     arr = np.asarray(state)
     if arr.shape == (3,):
         return bd_matrix(check_bd(arr))
-    return np.asarray(arr, dtype=complex)
+    return validate(arr)
 
 
 def discord(state, method: str = "closed_bd", config: SearchConfig | None = None) -> float:

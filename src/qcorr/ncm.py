@@ -5,23 +5,24 @@ operator blocks A_ij on qubit A; the measure sums the Hilbert-Schmidt norms
 of their pairwise commutators.  The value depends on the expansion basis,
 so the basis-minimized quantity is the meaningful one.  For Bell-diagonal
 states both the fixed-basis value and the minimum have closed forms.
+
+In the Fano form (a, b, R) of any state (states.fano_vectors), with z the
+Bloch vector of the first basis ket and u, v any orthonormal tangent pair at z:
+d_A(z) = (|Rz x a| + N(a + Rz) + N(a - Rz) + |Ru x Rv|) / sqrt(8), N(x)^2 = |x x Ru|^2 + |x x Rv|^2.
 """
 
 from __future__ import annotations
-
-from itertools import combinations
 
 import numpy as np
 
 from .linalg import ID2, kron, partial_trace
 from .measurement import s_from_z, unitary_from_s, z_vector
 from .search import SearchConfig, minimize_on_sphere
-from .states import bd_coeffs, check_bd
+from .states import bd_coeffs, check_bd, fano_vectors
 
 _SQRT8 = float(np.sqrt(8.0))
 _SQRT2 = float(np.sqrt(2.0))
-# The six unordered pairs of the flattened blocks A_00, A_01, A_10, A_11.
-_PAIRS = np.array(list(combinations(range(4), 2))).T
+_NEXT, _AFTER = [1, 2, 0], [2, 0, 1]  # i + 1 and i + 2, mod 3
 
 
 def alpha_triple(c) -> tuple[float, float, float]:
@@ -46,24 +47,53 @@ def a_operators(rho, s) -> list[list[np.ndarray]]:
     return blocks
 
 
-def _b_kets(z: np.ndarray) -> np.ndarray:
-    """Kets (e_0, e_1) of a B basis whose e_0 has Bloch vector z, per row of an (n, 3) array.
+def _frames(z: np.ndarray) -> np.ndarray:
+    """Rows [z, u, v], u x v = z, of an orthonormal frame per row of an (n, 3) array of unit z.
 
-    The measure does not depend on the phases of the kets.
+    The branch-free construction of Duff et al., "Building an orthonormal
+    basis, revisited", J. Comput. Graph. Tech. 6(1), 1 (2017).
     """
-    half = 0.5 * np.arctan2(np.hypot(z[:, 0], z[:, 1]), z[:, 2])
-    up, down = np.cos(half) + 0j, np.sin(half) * np.exp(1j * np.arctan2(z[:, 1], z[:, 0]))
-    return np.stack([np.stack([up, down], axis=1), np.stack([-down.conj(), up], axis=1)], axis=1)
+    x, y, w = z[:, 0], z[:, 1], z[:, 2]
+    sign = np.copysign(1.0, w)
+    h = -1.0 / (sign + w)
+    xyh = x * y * h
+    out = np.empty((len(z), 9))
+    out[:, :3] = z
+    out[:, 3], out[:, 4], out[:, 5] = 1.0 + sign * x * x * h, sign * xyh, -sign * x
+    out[:, 6], out[:, 7], out[:, 8] = xyh, sign + y * y * h, -y
+    return out
+
+
+def _d_a_objective(a: np.ndarray, r: np.ndarray):
+    """Batched z -> d_A(z) for a state with Fano vector a and correlation matrix R.
+
+    The blocks' Pauli parts are (delta_ij a + R m_ij) / 4 with m_00 = -m_11 = z
+    and m_01 = conj(m_10) = u + iv, and ||[x.sigma, y.sigma]||_2 = 2 sqrt(2) |x x y|.
+    With A = [a]_x R and C = cof(R), a x Rw = A w and Rz x Rw = C (z x w), so
+    on a frame with z x u = v every cross product is linear in [z, u, v]:
+    |Rz x a| = |A z|, |Ru x Rv| = |C z| and
+    N(a +/- Rz)^2 = |A u +/- C v|^2 + |A v -/+ C u|^2.
+    """
+    a_x = np.array([[0.0, -a[2], a[1]], [a[2], 0.0, -a[0]], [-a[1], a[0], 0.0]])
+    r1, r2 = r[_NEXT], r[_AFTER]
+    at, ct = (a_x @ r).T, (r1[:, _NEXT] * r2[:, _AFTER] - r1[:, _AFTER] * r2[:, _NEXT]).T
+    zero = np.zeros((3, 3))
+    # Frame rows z, u, v to A z, C z, A u + C v, A v - C u, A u - C v, A v + C u.
+    m = np.block([[at, ct, zero, zero, zero, zero],
+                  [zero, zero, at, -ct, at, ct],
+                  [zero, zero, ct, at, -ct, at]])
+
+    def d_a(z: np.ndarray) -> np.ndarray:
+        y = _frames(z) @ m
+        return np.sqrt(np.add.reduceat(y * y, [0, 3, 6, 12], axis=1)).sum(axis=1) / _SQRT8
+
+    return d_a
 
 
 def d_a_basis_batch(rho, z: np.ndarray) -> np.ndarray:
     """d_a_basis for each row of an (n, 3) array of B-basis Bloch vectors z."""
-    r = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
-    kets = _b_kets(z)
-    # A_ij[a, c] = sum_{x, y} conj(e_i[x]) rho[a x, c y] e_j[y] = Tr_B[(I x |e_j><e_i|) rho].
-    flat = np.einsum("nix,axcy,njy->nijac", kets.conj(), r, kets).reshape(len(z), 4, 2, 2)
-    x, y = flat[:, _PAIRS[0]], flat[:, _PAIRS[1]]
-    return np.linalg.norm(x @ y - y @ x, axis=(2, 3)).sum(axis=1)
+    a, _, r = fano_vectors(rho)
+    return _d_a_objective(a, r)(z)
 
 
 def d_a_basis(rho, s) -> float:
@@ -103,6 +133,21 @@ def d_a_optimized(c) -> float:
     three axis values have closed forms and the smallest wins.
     """
     return float(d_a_optimized_rows(check_bd(c)[None])[0])
+
+
+def d_a_minimized(a: np.ndarray, r: np.ndarray, config: SearchConfig | None = None) -> float:
+    """Basis-minimized d_A of any state with Fano vector a and correlation matrix R, by search.
+
+    The search runs in the frame of R's right singular vectors V, on
+    z' -> d_A(V z'), which is the objective of (a, R V).  For a Bell-diagonal
+    state under U_A x U_B those vectors are the rotated axes, where the local
+    minima sit, so each start cell of the search holds one, as in d_a_numeric.
+    In the standard frame two of them can share a cell, and the search can
+    then return the higher one.
+    """
+    v = np.linalg.svd(r)[2].T
+    value, _ = minimize_on_sphere(_d_a_objective(a, r @ v), config)
+    return value
 
 
 def d_a_numeric(c, config: SearchConfig | None = None) -> tuple[float, np.ndarray]:

@@ -23,6 +23,9 @@ PSD_TOL = 1e-10
 BD_FORM_TOL = 1e-10
 BD_EIG_TOL = 1e-12
 
+# sigma_k x sigma_l for k, l = 0..3, with sigma_0 = I.
+_PAULI_PRODUCTS = np.array([[kron(p, q) for q in (ID2, *PAULIS)] for p in (ID2, *PAULIS)])
+
 
 class StateError(ValueError):
     """A matrix failed a density-matrix check; .violation holds the measured gap."""
@@ -77,6 +80,11 @@ class FanoDecomposition:
     a: np.ndarray
     b: np.ndarray
     t: np.ndarray
+
+    @classmethod
+    def from_vectors(cls, a, b, r) -> "FanoDecomposition":
+        """From the Fano vectors a, b and the correlation matrix R: T = R - a b^T."""
+        return cls(a=a, b=b, t=r - np.outer(a, b))
 
 
 def bd_coeffs(c) -> np.ndarray:
@@ -167,20 +175,23 @@ def validate(rho) -> np.ndarray:
     return rho
 
 
+def fano_vectors(rho) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fano form rho = (1/4)(I x I + a.sigma x I + I x b.sigma + sum_ij R_ij sigma_i x sigma_j).
+
+    Returns (a, b, R) with a_i = Tr[rho sigma_i x I], b_j = Tr[rho I x sigma_j]
+    and the correlation matrix R_ij = Tr[rho sigma_i x sigma_j], real parts.
+    """
+    f = np.einsum("klij,ji->kl", _PAULI_PRODUCTS, np.asarray(rho, dtype=complex)).real
+    return f[1:, 0], f[0, 1:], f[1:, 1:]
+
+
 def fano_decompose(rho) -> FanoDecomposition:
     """Local Bloch vectors and the covariance matrix of a two-qubit state.
 
-    T_ij = <sigma_i x sigma_j> - <sigma_i x I><I x sigma_j>, so T is the
-    genuinely correlated part: it vanishes on product states.
+    T_ij = <sigma_i x sigma_j> - <sigma_i x I><I x sigma_j> = R - a b^T, so T
+    is the genuinely correlated part: it vanishes on product states.
     """
-    rho = np.asarray(rho, dtype=complex)
-    a = np.array([np.trace(kron(s, ID2) @ rho).real for s in PAULIS])
-    b = np.array([np.trace(kron(ID2, s) @ rho).real for s in PAULIS])
-    t = np.empty((3, 3))
-    for i, si in enumerate(PAULIS):
-        for j, sj in enumerate(PAULIS):
-            t[i, j] = np.trace(kron(si, sj) @ rho).real - a[i] * b[j]
-    return FanoDecomposition(a=a, b=b, t=t)
+    return FanoDecomposition.from_vectors(*fano_vectors(rho))
 
 
 def fano_compose(f: FanoDecomposition) -> np.ndarray:

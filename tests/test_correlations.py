@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from qcorr import correlations
 from qcorr.correlations import (
     CorrelationReport,
     binary_entropy,
@@ -19,7 +20,7 @@ from qcorr.correlations import (
 )
 from qcorr.measurement import conditional_states_bd, theta
 from qcorr.search import SearchConfig
-from qcorr.states import NotPSDError, bd_eigenvalues, bd_matrix, sample_bd
+from qcorr.states import NotFiniteError, NotPSDError, TraceNotOneError, bd_eigenvalues, bd_matrix, sample_bd
 
 # Light search budget for module-level tests; the acceptance suite runs the
 # full default budget.
@@ -163,6 +164,26 @@ class TestDiscord:
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="method"):
             discord([0, 0, 0], method="magic")
+
+    @pytest.mark.parametrize("method", ["via_mi", "numeric"])
+    @pytest.mark.parametrize("defect, error", [
+        ("nan", NotFiniteError), ("trace-2", TraceNotOneError), ("negative-eigenvalue", NotPSDError),
+    ])
+    def test_dense_input_is_validated_before_the_search(self, monkeypatch, method, defect, error):
+        """via_mi used to search over an unchecked matrix and fail after the whole grid."""
+        def no_search(*args, **kwargs):
+            raise AssertionError("the search ran on an invalid state")
+
+        monkeypatch.setattr(correlations, "maximize_on_sphere", no_search)
+        rho = bd_matrix([0.5, -0.3, 0.2])
+        if defect == "nan":
+            rho[0, 3] = np.nan
+        elif defect == "trace-2":
+            rho = 2 * rho
+        else:
+            rho = np.diag([0.6, 0.6, -0.1, -0.1]).astype(complex)
+        with pytest.raises(error):
+            discord(rho, method=method)
 
 
 class TestCorrelationReport:

@@ -16,6 +16,7 @@ from qcorr.linalg import (
     kron,
     partial_trace,
 )
+from qcorr.states import bd_eigenvalues, bd_matrix, sample_bd
 
 
 def random_hermitian(rng, n):
@@ -93,15 +94,23 @@ class TestHermitianEigenvalues:
             hermitian_eigenvalues(np.diag([1.0, 0.0]).astype(complex)), [1.0, 0.0], atol=0
         )
 
-    def test_matches_independent_solver(self):
-        """Jacobi sweep agrees with LAPACK on random Hermitian matrices."""
+    def test_matches_closed_form_spectra(self):
+        """Rotated Paulis n.sigma (+1, -1), rank-k projectors (1^k, 0^(4-k)) and Bell-diagonal states."""
         rng = np.random.default_rng(42)
-        for n in (2, 4):
-            for _ in range(100):
-                h = random_hermitian(rng, n)
-                got = hermitian_eigenvalues(h)
-                want = np.sort(np.linalg.eigvalsh(h))[::-1]
-                np.testing.assert_allclose(got, want, atol=1e-10)
+        for _ in range(100):
+            n = rng.standard_normal(3)
+            n /= np.linalg.norm(n)
+            np.testing.assert_allclose(
+                hermitian_eigenvalues(sum(c * s for c, s in zip(n, PAULIS))), [1.0, -1.0], rtol=0, atol=1e-14
+            )
+            q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+            for k in range(5):
+                projector = q[:, :k] @ q[:, :k].conj().T
+                want = [1.0] * k + [0.0] * (4 - k)
+                np.testing.assert_allclose(hermitian_eigenvalues(projector), want, rtol=0, atol=1e-14)
+        for bd in sample_bd(100, seed=42):
+            want = np.sort(bd_eigenvalues(bd))[::-1]
+            np.testing.assert_allclose(hermitian_eigenvalues(bd_matrix(bd)), want, rtol=0, atol=1e-15)
 
     def test_sum_equals_trace(self):
         rng = np.random.default_rng(43)
@@ -130,6 +139,13 @@ class TestHermitianEigenvalues:
     def test_rejects_non_hermitian(self):
         m = np.array([[0, 1], [0, 0]], dtype=complex)
         with pytest.raises(ValueError, match="Hermitian"):
+            hermitian_eigenvalues(m)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite(self, value):
+        m = np.eye(4, dtype=complex)
+        m[1, 2] = m[2, 1] = value
+        with pytest.raises(ValueError, match="finite"):
             hermitian_eigenvalues(m)
 
     def test_rejects_unsupported_dimension(self):

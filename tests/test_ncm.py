@@ -12,12 +12,13 @@ from qcorr.ncm import (
     alpha_triple,
     d_a_basis,
     d_a_bd_closed,
+    d_a_minimized,
     d_a_numeric,
     d_a_optimized,
     f_hat,
 )
 from qcorr.search import SearchConfig
-from qcorr.states import bd_matrix, sample_bd
+from qcorr.states import bd_matrix, fano_vectors, sample_bd
 
 FAST = SearchConfig(grid_points=200)
 
@@ -36,6 +37,16 @@ HARD_DA_STATES = [
     [-0.6416064494293993, -0.20724307319862656, -0.20580903544915338],
     [0.2659102075107623, 0.2655902582662984, -0.9036254649106568],
     [0.7680810237321235, 0.7679477629332344, -0.9873758042597378],
+]
+
+# Bell-diagonal states under U_A x U_B, the two Haar unitaries drawn from
+# default_rng(seed).  Two of their local d_A minima share a start cell of the
+# search in the standard frame, which then missed the lower one by 1.1e-5,
+# 2.7e-5 and 3.5e-4.
+ROTATED_HARD_DA_STATES = [
+    ([6, 1578], [-0.07331983815016524, -0.07262274017113474, -0.3492023558848426]),
+    ([12, 486], [0.47303526799452267, 0.07859348704158448, -0.0734547831003996]),
+    ([12, 780], [0.9392033417897503, -0.11924276783124016, 0.13068337223254128]),
 ]
 
 
@@ -196,6 +207,22 @@ class TestNumericMinimizer:
         v2, s2 = d_a_numeric([0.5, -0.3, 0.2], FAST)
         assert v1 == v2
         np.testing.assert_array_equal(s1, s2)
+
+
+def haar_unitary(rng):
+    q, r = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    d = np.diag(r)
+    return q * (d / np.abs(d))
+
+
+class TestDenseMinimizer:
+    @pytest.mark.parametrize("seed, c", ROTATED_HARD_DA_STATES)
+    def test_finds_the_axis_minimum_on_rotated_states(self, seed, c):
+        rng = np.random.default_rng(seed)
+        u = kron(haar_unitary(rng), haar_unitary(rng))
+        rho = u @ bd_matrix(c) @ u.conj().T
+        a, _, r = fano_vectors(rho)
+        assert abs(d_a_minimized(a, r) - d_a_optimized(c)) <= 1e-12
 
 
 nonneg = st.floats(min_value=0.0, max_value=1.0)

@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 
 from qcorr.correlations import (
-    _batch_measured_term,
     _batch_post_mi,
+    _measured_term,
     classical_correlations_bd,
     von_neumann_entropy,
 )
 from qcorr.linalg import partial_trace
 from qcorr.ncm import _closed_from_z, alpha_triple, d_a_optimized
 from qcorr.search import SearchConfig, maximize_on_sphere, minimize_on_sphere, search_sphere
-from qcorr.states import bd_matrix, sample_bd
+from qcorr.states import bd_matrix, fano_vectors, sample_bd
 
 TARGET = np.array([0.3, -0.5, 0.8]) / np.linalg.norm([0.3, -0.5, 0.8])
 
@@ -119,9 +119,10 @@ def test_oracle_routes_round_budget(seed):
         rho = bd_matrix(c)
         s_b = von_neumann_entropy(partial_trace(rho, "B"))
         a = np.array(alpha_triple(c))
+        term = _measured_term(*fano_vectors(rho))
         j_closed = classical_correlations_bd(c)[0]
         routes = [
-            (lambda z: s_b - _batch_measured_term(rho, z), j_closed),
+            (lambda z: s_b - term(z), j_closed),
             (lambda z: _batch_post_mi(rho, z), j_closed),
             (lambda z: -_closed_from_z(a, z), -d_a_optimized(c)),
         ]
