@@ -9,7 +9,7 @@ its interior maximum at one fifth of the coefficient budget.
 
 import numpy as np
 
-from qcorr import alpha_triple, d_a_bd_closed, d_a_numeric, d_a_optimized, f_hat, s_from_z
+from qcorr import alpha_triple, d_a_bd_closed, d_a_numeric, d_a_optimized, f_hat
 
 C = (0.7, -0.4, 0.2)
 
@@ -20,9 +20,9 @@ def great_circle_sweep():
     for frac in np.linspace(0.0, 0.5, 11):
         ang = np.pi * frac
         z = np.array([np.sin(ang), 0.0, np.cos(ang)])  # axis 3 toward axis 1
-        value = d_a_bd_closed(C, s_from_z(z))
+        value = d_a_bd_closed(C, z)
         print(f"{frac:9.3f} {value:10.6f}")
-    best, s_best = d_a_numeric(C)
+    best, _ = d_a_numeric(C)
     print(f"free minimum over the sphere: {best:.9f}")
     print(f"axis minimum:                 {d_a_optimized(C):.9f}")
 

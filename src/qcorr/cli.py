@@ -34,7 +34,7 @@ from .correlations import (
     report_bd,
 )
 from .decoherence import ChannelSpec, freezing_time, is_freezing_initial, trajectory
-from .measurement import optimal_s, post_measurement_state, pvm_from_s, t_after_measurement
+from .measurement import optimal_z, post_measurement_state, pvm_from_z, t_after_measurement
 from .ncm import d_a_minimized, d_a_numeric, d_a_optimized
 from .states import (
     BDState,
@@ -176,15 +176,15 @@ def cmd_analyze(args) -> int:
     if kind == "bd":
         c = state.coeffs
         rep = report_bd(c)
-        s, _, axis = optimal_s(c)
+        z, _, axis = optimal_z(c)
         d_a = d_a_optimized(c)
         eigs = bd_eigenvalues(c)
         fano = fano_decompose(bd_matrix(c))
-        t_after = t_after_measurement(c, s)
+        t_after = t_after_measurement(c, z)
     else:
         rho = state
         config = SearchConfig(seed=args.seed)
-        j_val, s_best = classical_correlations_numeric(rho, config)
+        j_val, z_best = classical_correlations_numeric(rho, config)
         i_val = mutual_information(rho)
         rep = CorrelationReport(
             mutual_info=i_val, classical=j_val, discord=i_val - j_val,
@@ -195,7 +195,7 @@ def cmd_analyze(args) -> int:
         eigs = np.linalg.eigvalsh(rho)[::-1]
         fano = FanoDecomposition.from_vectors(a, b, r)
         axis = None
-        t_after = fano_decompose(post_measurement_state(rho, pvm_from_s(s_best))).t
+        t_after = fano_decompose(post_measurement_state(rho, pvm_from_z(z_best))).t
 
     if args.format == "csv":
         c = fano.t.diagonal() if kind == "dense" else state.coeffs
@@ -261,16 +261,12 @@ def cmd_evolve(args) -> int:
             points.optimal_axis, np.diagonal(points.t_matrix_after, axis1=1, axis2=2),
         ]))
     else:
-        rows = []
-        for pt in points:
-            row = pt.report.to_dict()
-            row.update(
-                t=pt.t,
-                c=[float(x) for x in pt.c.coeffs],
-                d_a=pt.d_a,
-                t_after_measurement=[[float(x) for x in r] for r in pt.t_matrix_after],
-            )
-            rows.append(row)
+        columns = {
+            "mutual_info": points.mutual_info, "classical": points.classical, "discord": points.discord,
+            "optimal_axis": points.optimal_axis, "theta_star": points.theta_star, "t": points.t,
+            "c": points.c, "d_a": points.d_a, "t_after_measurement": points.t_matrix_after,
+        }
+        rows = [dict(zip(columns, row)) for row in zip(*(col.tolist() for col in columns.values()))]
         _write_text(args, json.dumps({"meta": meta, "points": rows}, indent=2, allow_nan=False) + "\n")
 
     if args.out:

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import ID2, PAULIS, hermitian_eigenvalues, partial_trace
-from .measurement import optimal_axis_rows, s_from_z
+from .measurement import optimal_axis_rows
 from .search import SearchConfig, maximize_on_sphere
 from .states import BDState, NotPSDError, bd_coeffs, bd_matrix, check_bd, check_bd_rows, fano_vectors
-from .states import validate
+from .states import bd_extract, validate
 
 EIG_CLAMP = 1e-10
 _SIGNS = np.array([1.0, -1.0])
@@ -155,13 +155,13 @@ def classical_correlations_numeric(rho, config: SearchConfig | None = None) -> t
 
     Maximizes S(rho_B) - sum_j p_j S(rho_B|j) over the Bloch vector z of
     the measurement on A.  Independent of the Bell-diagonal closed forms.
-    Returns (value, s_best), with s_best lifted from the optimal z.
+    Returns (value, z_best), z_best the unit Bloch vector of the best
+    measurement found.
     """
     rho = validate(rho)
     s_b = von_neumann_entropy(partial_trace(rho, "B"))
     term = _measured_term(*fano_vectors(rho))
-    value, z_best = maximize_on_sphere(lambda z: s_b - term(z), config)
-    return value, s_from_z(z_best)
+    return maximize_on_sphere(lambda z: s_b - term(z), config)
 
 
 def _batch_post_mi(rho: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -202,12 +202,10 @@ def discord(state, method: str = "closed_bd", config: SearchConfig | None = None
     method="closed_bd": Bell-diagonal closed forms (state must be a
     coefficient triple, BDState, or Bell-diagonal matrix).
     method="numeric": J from the measurement search, I exact.
-    method="via_mi": D = I(rho) - max_s I(rho^M(s)), the
+    method="via_mi": D = I(rho) - max_z I(rho^M(z)), the
     measurement-induced mutual-information route.
     """
     if method == "closed_bd":
-        from .states import bd_extract
-
         if isinstance(state, BDState):
             c = state.coeffs
         else:
@@ -268,7 +266,7 @@ def report_numeric(rho, config: SearchConfig | None = None) -> CorrelationReport
     The optimal axis and theta are Bell-diagonal notions, so they are None
     here.
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = validate(rho)
     mi = mutual_information(rho)
     j, _ = classical_correlations_numeric(rho, config)
     return CorrelationReport(

@@ -1,10 +1,7 @@
 """Local projective measurements on qubit A.
 
-Measurements are parametrized by a unit vector s in R^4: the unitary
-V = s0*I + i(s1*sx + s2*sy + s3*sz) rotates the computational projectors,
-M_j = V |j><j| V^dag.  All physical quantities depend on s only through the
-Bloch vector z(s) of M_0, so s and -s (and any phase along the measurement
-axis) give the same measurement.
+A rank-1 measurement on one qubit is given by the unit Bloch vector z of its
+first projector: M_0 = (I + z.sigma)/2 and M_1 = (I - z.sigma)/2.
 """
 
 from __future__ import annotations
@@ -13,22 +10,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ID2, PAULIS, dagger, kron, partial_trace
+from .linalg import ID2, PAULIS, kron, partial_trace
 from .states import bd_coeffs, check_bd
 
 UNIT_TOL = 1e-12
 ZERO_PROB = 1e-14
 
-_P0 = np.array([[1, 0], [0, 0]], dtype=complex)
-_P1 = np.array([[0, 0], [0, 1]], dtype=complex)
-
-# Fixed representatives of the optimal measurement for each coordinate axis;
-# z(s) for these is e1, e2, e3 respectively.
-OPTIMAL_S = {
-    1: np.array([1 / np.sqrt(2), 0.0, -1 / np.sqrt(2), 0.0]),
-    2: np.array([1 / np.sqrt(2), 1 / np.sqrt(2), 0.0, 0.0]),
-    3: np.array([1.0, 0.0, 0.0, 0.0]),
-}
+# The optimal measurement for coordinate axis k, in row k - 1.
+OPTIMAL_Z = np.eye(3)
 
 
 @dataclass(frozen=True)
@@ -42,76 +31,50 @@ class Pvm:
         return iter((self.m0, self.m1))
 
 
-def _unit_s(s) -> np.ndarray:
-    s = np.asarray(s, dtype=float)
-    if s.shape != (4,):
-        raise ValueError(f"measurement parameter must be a 4-vector, got shape {s.shape}")
-    norm = float(np.linalg.norm(s))
-    if abs(norm - 1.0) > UNIT_TOL:
-        raise ValueError(f"measurement parameter must be unit length, |s| = {norm:.12f}")
-    return s
-
-
-def unitary_from_s(s) -> np.ndarray:
-    s0, s1, s2, s3 = _unit_s(s)
-    return s0 * ID2 + 1j * (s1 * PAULIS[0] + s2 * PAULIS[1] + s3 * PAULIS[2])
-
-
-def pvm_from_s(s) -> Pvm:
-    v = unitary_from_s(s)
-    vd = dagger(v)
-    return Pvm(m0=v @ _P0 @ vd, m1=v @ _P1 @ vd)
-
-
-def z_vector(s) -> np.ndarray:
-    """Bloch vector of the first projector; always unit length."""
-    s0, s1, s2, s3 = _unit_s(s)
-    return np.array([
-        2 * (-s0 * s2 + s1 * s3),
-        2 * (s0 * s1 + s2 * s3),
-        s0 * s0 + s3 * s3 - s1 * s1 - s2 * s2,
-    ])
-
-
-def s_from_z(z) -> np.ndarray:
-    """A measurement parameter whose z_vector equals the given unit 3-vector.
-
-    Inverts the (gauge-redundant) z(s) map on the s3 = 0 section.
-    """
+def unit_z(z) -> np.ndarray:
+    """z as a float 3-vector, checked to be of unit length within 1e-12."""
     z = np.asarray(z, dtype=float)
     if z.shape != (3,):
-        raise ValueError(f"expected a 3-vector, got shape {z.shape}")
+        raise ValueError(f"measurement direction must be a 3-vector, got shape {z.shape}")
     norm = float(np.linalg.norm(z))
     if abs(norm - 1.0) > UNIT_TOL:
-        raise ValueError(f"z must be unit length, |z| = {norm:.12f}")
-    z1, z2, z3 = z
-    # Transverse magnitude from the components themselves; sqrt(1 - z3^2)
-    # cancels catastrophically near the poles.
-    sin_two_a = float(np.hypot(z1, z2))
-    if sin_two_a < 1e-15:
-        if z3 > 0:
-            return np.array([1.0, 0.0, 0.0, 0.0])
-        return np.array([0.0, 1.0, 0.0, 0.0])
-    half = 0.5 * np.arctan2(sin_two_a, z3)
-    u1, u2 = z2 / sin_two_a, -z1 / sin_two_a
-    return np.array([np.cos(half), np.sin(half) * u1, np.sin(half) * u2, 0.0])
+        raise ValueError(f"measurement direction must be unit length, |z| = {norm:.12f}")
+    return z
 
 
-def theta(c, s) -> float:
+def pvm_from_z(z) -> Pvm:
+    """The projectors (I + z.sigma)/2 and (I - z.sigma)/2."""
+    z_sigma = np.einsum("i,ijk->jk", unit_z(z), PAULIS)
+    return Pvm(m0=(ID2 + z_sigma) / 2, m1=(ID2 - z_sigma) / 2)
+
+
+def basis(z) -> np.ndarray:
+    """2x2 unitary whose columns are the +1 and -1 eigenkets of z.sigma.
+
+    The +1 eigenket is (1 + z3, z1 + i z2) or (z1 - i z2, 1 - z3), normalized;
+    the two differ by a phase, and the one taken has the real entry
+    1 + |z3| >= 1, so its norm never cancels.  basis(e3) is exactly I.
+    """
+    z1, z2, z3 = unit_z(z)
+    w = 1.0 + abs(z3)
+    ket = np.array([w, complex(z1, z2)]) if z3 >= 0.0 else np.array([complex(z1, -z2), w])
+    a, b = ket / np.sqrt(2.0 * w)
+    return np.array([[a, -np.conj(b)], [b, np.conj(a)]])
+
+
+def theta(c, z) -> float:
     """Effective measured correlation sqrt(sum_i (c_i z_i)^2); at most max|c_i|."""
-    c = bd_coeffs(c)
-    z = z_vector(s)
-    return float(np.sqrt(np.sum((c * z) ** 2)))
+    return float(np.sqrt(np.sum((bd_coeffs(c) * unit_z(z)) ** 2)))
 
 
-def conditional_states_bd(c, s):
+def conditional_states_bd(c, z):
     """Post-measurement conditional states of qubit B for a Bell-diagonal state.
 
     Both outcomes are equally likely, and the conditionals are the Bloch
     states (I +/- sum_i c_i z_i sigma_i)/2.
     """
     c = check_bd(c)
-    z = z_vector(s)
+    z = unit_z(z)
     v = sum(ci * zi * sigma for ci, zi, sigma in zip(c, z, PAULIS))
     rho0 = (ID2 + v) / 2
     rho1 = (ID2 - v) / 2
@@ -147,22 +110,18 @@ def post_measurement_state(rho, pvm: Pvm) -> np.ndarray:
     return out
 
 
-# z_vector(OPTIMAL_S[k]) in row k - 1, as the scalar route computes it.
-OPTIMAL_Z = np.array([z_vector(OPTIMAL_S[k]) for k in (1, 2, 3)])
-
-
 def t_after_rows(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     """t_after_measurement per row: (n, 3) coefficients and (n, 3) directions to (n, 3, 3)."""
     return z[:, :, None] * (c * z)[:, None, :]
 
 
-def t_after_measurement(c, s) -> np.ndarray:
+def t_after_measurement(c, z) -> np.ndarray:
     """Covariance matrix of the post-measurement Bell-diagonal state.
 
     Closed form T_ij = c_j z_i z_j; rank one, and diagonal exactly when z is
     a coordinate axis.
     """
-    return t_after_rows(bd_coeffs(c)[None], z_vector(s)[None])[0]
+    return t_after_rows(bd_coeffs(c)[None], unit_z(z)[None])[0]
 
 
 def optimal_axis_rows(c: np.ndarray) -> np.ndarray:
@@ -170,12 +129,13 @@ def optimal_axis_rows(c: np.ndarray) -> np.ndarray:
     return np.argmax(np.abs(c), axis=1) + 1
 
 
-def optimal_s(c):
+def optimal_z(c):
     """Measurement maximizing theta for a Bell-diagonal state.
 
-    Returns (s, c_max, axis) where axis is the index (1-based) of the largest
-    |c_i|; ties resolve to the smallest index.  theta(c, s) == c_max.
+    Returns (e_axis, c_max, axis) where axis is the index (1-based) of the
+    largest |c_i|, ties resolving to the smallest index, and e_axis is that
+    coordinate axis.  theta(c, e_axis) == c_max.
     """
     c = bd_coeffs(c)
     axis = int(optimal_axis_rows(c[None])[0])
-    return OPTIMAL_S[axis].copy(), float(np.abs(c)[axis - 1]), axis
+    return OPTIMAL_Z[axis - 1].copy(), float(np.abs(c)[axis - 1]), axis

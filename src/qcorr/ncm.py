@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import ID2, kron, partial_trace
-from .measurement import s_from_z, unitary_from_s, z_vector
+from .measurement import basis, unit_z
 from .search import SearchConfig, minimize_on_sphere
 from .states import bd_coeffs, check_bd, fano_vectors
 
@@ -31,13 +31,13 @@ def alpha_triple(c) -> tuple[float, float, float]:
     return float((c2 * c3) ** 2), float((c1 * c3) ** 2), float((c1 * c2) ** 2)
 
 
-def a_operators(rho, s) -> list[list[np.ndarray]]:
-    """Expansion blocks A_ij of rho over the rotated B basis {V|0>, V|1>}.
+def a_operators(rho, z) -> list[list[np.ndarray]]:
+    """Expansion blocks A_ij of rho over the B basis {|0>, |1>} given by the columns of basis(z).
 
     A_ij = Tr_B[(I x |j><i|) rho], so rho = sum_ij A_ij x |i><j|.
     """
     rho = np.asarray(rho, dtype=complex)
-    v = unitary_from_s(s)
+    v = basis(z)
     kets = [v[:, 0], v[:, 1]]
     blocks = [[None, None], [None, None]]
     for i in range(2):
@@ -96,9 +96,9 @@ def d_a_basis_batch(rho, z: np.ndarray) -> np.ndarray:
     return _d_a_objective(a, r)(z)
 
 
-def d_a_basis(rho, s) -> float:
-    """Sum of ||[A_ij, A_kl]||_2 over the six unordered block pairs."""
-    return float(d_a_basis_batch(rho, z_vector(s)[None])[0])
+def d_a_basis(rho, z) -> float:
+    """Sum of ||[A_ij, A_kl]||_2 over the six unordered block pairs, in the B basis of z."""
+    return float(d_a_basis_batch(rho, unit_z(z)[None])[0])
 
 
 def _closed_from_z(a: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -107,10 +107,10 @@ def _closed_from_z(a: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.sqrt(z2 @ a) / _SQRT8 + np.sqrt(np.maximum((1.0 - z2) @ a, 0.0)) / _SQRT2
 
 
-def d_a_bd_closed(c, s) -> float:
-    """Closed form of the basis-dependent measure for a Bell-diagonal state."""
+def d_a_bd_closed(c, z) -> float:
+    """Closed form of the basis-dependent measure for a Bell-diagonal state, in the B basis of z."""
     a = np.array(alpha_triple(check_bd(c)))
-    return float(_closed_from_z(a, z_vector(s)[None])[0])
+    return float(_closed_from_z(a, unit_z(z)[None])[0])
 
 
 def d_a_optimized_rows(c: np.ndarray) -> np.ndarray:
@@ -153,13 +153,10 @@ def d_a_minimized(a: np.ndarray, r: np.ndarray, config: SearchConfig | None = No
 def d_a_numeric(c, config: SearchConfig | None = None) -> tuple[float, np.ndarray]:
     """Minimize the closed form over the z sphere directly.
 
-    Searching over z (two effective angles) removes the gauge redundancy of
-    the four-component measurement parameter.  Returns (value, s_best) with
-    s_best lifted from the optimal z.
+    Returns (value, z_best), z_best the unit Bloch vector of the best basis found.
     """
     a = np.array(alpha_triple(check_bd(c)))
-    value, z_best = minimize_on_sphere(lambda z: _closed_from_z(a, z), config)
-    return value, s_from_z(z_best)
+    return minimize_on_sphere(lambda z: _closed_from_z(a, z), config)
 
 
 def f_hat(theta: float, alpha) -> float:

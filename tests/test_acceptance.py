@@ -27,7 +27,7 @@ from qcorr.decoherence import (
     trajectory,
 )
 from qcorr.linalg import ID2, dagger
-from qcorr.measurement import optimal_s, theta
+from qcorr.measurement import optimal_z, theta
 from qcorr.ncm import alpha_triple, d_a_numeric, d_a_optimized, f_hat
 from qcorr.states import bd_matrix, fano_decompose, sample_bd
 
@@ -194,12 +194,12 @@ class TestAcceptance:
         for bd in states:
             cap = float(np.max(np.abs(bd.coeffs)))
             for _ in range(100):
-                s = rng.standard_normal(4)
-                s /= np.linalg.norm(s)
-                worst_excess = max(worst_excess, theta(bd.coeffs, s) - cap)
-                assert theta(bd.coeffs, s) <= cap + 1e-12
-            s_opt, c_max, _ = optimal_s(bd.coeffs)
-            assert theta(bd.coeffs, s_opt) == pytest.approx(c_max, abs=1e-12)
+                z = rng.standard_normal(3)
+                z /= np.linalg.norm(z)
+                worst_excess = max(worst_excess, theta(bd.coeffs, z) - cap)
+                assert theta(bd.coeffs, z) <= cap + 1e-12
+            z_opt, c_max, _ = optimal_z(bd.coeffs)
+            assert theta(bd.coeffs, z_opt) == pytest.approx(c_max, abs=1e-12)
             assert c_max == pytest.approx(cap, abs=0)
         announce(7, "measurement angle never beats the largest coefficient",
                  f"10000 pairs, worst excess {worst_excess:.2e}")

@@ -190,9 +190,11 @@ class TestEvolve:
         payload = json.loads(out.read_text())
         assert payload["meta"]["t_star"] == pytest.approx(T_STAR, abs=1e-12)
         assert len(payload["points"]) == 4
-        point = payload["points"][0]
-        for key in ("t", "c", "mutual_info", "classical", "discord", "d_a", "optimal_axis"):
-            assert key in point
+        traj = trajectory([1.0, -0.6, 0.6], ChannelSpec(k=3, gamma=1.0), np.linspace(0.0, 1.0, 4))
+        want = [dict(pt.report.to_dict(), t=pt.t, c=pt.c.coeffs.tolist(), d_a=pt.d_a,
+                     t_after_measurement=pt.t_matrix_after.tolist()) for pt in traj]
+        assert payload["points"] == want
+        assert [list(point) for point in payload["points"]] == [list(point) for point in want]
 
 
 class TestOracle:

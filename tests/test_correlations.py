@@ -18,7 +18,8 @@ from qcorr.correlations import (
     report_numeric,
     von_neumann_entropy,
 )
-from qcorr.measurement import conditional_states_bd, theta
+from qcorr.linalg import partial_trace
+from qcorr.measurement import conditional_states_bd, conditional_states_general, pvm_from_z, theta
 from qcorr.search import SearchConfig
 from qcorr.states import NotFiniteError, NotPSDError, TraceNotOneError, bd_eigenvalues, bd_matrix, sample_bd
 
@@ -113,13 +114,13 @@ class TestClassicalCorrelations:
         """Larger effective correlation always means a sharper conditional."""
         rng = np.random.default_rng(8)
         for bd in sample_bd(20, rng):
-            s1, s2 = (rng.standard_normal(4) for _ in range(2))
-            s1, s2 = s1 / np.linalg.norm(s1), s2 / np.linalg.norm(s2)
-            if theta(bd, s1) > theta(bd, s2):
-                s1, s2 = s2, s1
-            def measured(s):
-                return sum(p * von_neumann_entropy(r) for r, p in conditional_states_bd(bd, s))
-            assert measured(s2) <= measured(s1) + 1e-10
+            z1, z2 = (rng.standard_normal(3) for _ in range(2))
+            z1, z2 = z1 / np.linalg.norm(z1), z2 / np.linalg.norm(z2)
+            if theta(bd, z1) > theta(bd, z2):
+                z1, z2 = z2, z1
+            def measured(z):
+                return sum(p * von_neumann_entropy(r) for r, p in conditional_states_bd(bd, z))
+            assert measured(z2) <= measured(z1) + 1e-10
 
     def test_numeric_matches_closed(self):
         for bd in sample_bd(15, seed=5):
@@ -127,12 +128,25 @@ class TestClassicalCorrelations:
             jn, _ = classical_correlations_numeric(bd_matrix(bd), FAST)
             assert jn == pytest.approx(jc, abs=1e-7)
 
+    def test_numeric_direction_reproduces_its_value(self):
+        """The returned unit z, measured on rho through its projectors, gives back the returned J."""
+        rng = np.random.default_rng(9)
+        for _ in range(10):
+            g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            rho = g @ g.conj().T
+            rho /= np.trace(rho).real
+            j, z = classical_correlations_numeric(rho, FAST)
+            assert abs(np.linalg.norm(z) - 1) < 1e-12
+            outcomes = conditional_states_general(rho, pvm_from_z(z))
+            measured = sum(p * von_neumann_entropy(r) for r, p in outcomes)
+            assert j == pytest.approx(von_neumann_entropy(partial_trace(rho, "B")) - measured, abs=1e-12)
+
     def test_numeric_is_deterministic(self):
         rho = bd_matrix([0.4, -0.2, 0.55])
-        v1, s1 = classical_correlations_numeric(rho, FAST)
-        v2, s2 = classical_correlations_numeric(rho, FAST)
+        v1, z1 = classical_correlations_numeric(rho, FAST)
+        v2, z2 = classical_correlations_numeric(rho, FAST)
         assert v1 == v2
-        np.testing.assert_array_equal(s1, s2)
+        np.testing.assert_array_equal(z1, z2)
 
 
 class TestDiscord:
@@ -165,11 +179,15 @@ class TestDiscord:
         with pytest.raises(ValueError, match="method"):
             discord([0, 0, 0], method="magic")
 
-    @pytest.mark.parametrize("method", ["via_mi", "numeric"])
+    @pytest.mark.parametrize("route", [
+        lambda rho: discord(rho, method="via_mi"),
+        lambda rho: discord(rho, method="numeric"),
+        report_numeric,
+    ], ids=["via_mi", "numeric", "report_numeric"])
     @pytest.mark.parametrize("defect, error", [
         ("nan", NotFiniteError), ("trace-2", TraceNotOneError), ("negative-eigenvalue", NotPSDError),
     ])
-    def test_dense_input_is_validated_before_the_search(self, monkeypatch, method, defect, error):
+    def test_dense_input_is_validated_before_the_search(self, monkeypatch, route, defect, error):
         """via_mi used to search over an unchecked matrix and fail after the whole grid."""
         def no_search(*args, **kwargs):
             raise AssertionError("the search ran on an invalid state")
@@ -183,7 +201,7 @@ class TestDiscord:
         else:
             rho = np.diag([0.6, 0.6, -0.1, -0.1]).astype(complex)
         with pytest.raises(error):
-            discord(rho, method=method)
+            route(rho)
 
 
 class TestCorrelationReport:

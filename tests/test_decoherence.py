@@ -16,7 +16,7 @@ from qcorr.decoherence import (
     trajectory,
 )
 from qcorr.linalg import ID2, dagger
-from qcorr.measurement import optimal_s, t_after_measurement
+from qcorr.measurement import optimal_z, t_after_measurement
 from qcorr.ncm import d_a_optimized
 from qcorr.states import bd_eigenvalues, bd_extract, bd_matrix, sample_bd, validate
 
@@ -210,8 +210,8 @@ class TestColumnarTrajectory:
                 assert len(traj) == len(grid)
                 for t, pt in zip(grid, traj):
                     c_t = c_trajectory(c0, spec, t)
-                    s, _, axis = optimal_s(c_t)
-                    t_after = t_after_measurement(c_t, s)
+                    z, _, axis = optimal_z(c_t)
+                    t_after = t_after_measurement(c_t, z)
                     assert pt.t == t
                     assert pt.c == c_t
                     assert pt.report == report_bd(c_t)

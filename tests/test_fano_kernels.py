@@ -13,7 +13,7 @@ import pytest
 
 from qcorr.correlations import _measured_term
 from qcorr.linalg import ID2, PAULIS, commutator, hs_norm, kron
-from qcorr.measurement import conditional_states_general, pvm_from_s, s_from_z
+from qcorr.measurement import conditional_states_general, pvm_from_z
 from qcorr.ncm import a_operators, d_a_basis_batch
 from qcorr.states import fano_decompose, fano_vectors
 
@@ -52,7 +52,7 @@ def entropy_bits(rho):
 def measured_term_reference(rho, z):
     """sum_j p_j S(rho_B|j) from the conditional states of the measurement along z."""
     total = 0.0
-    for cond, p in conditional_states_general(rho, pvm_from_s(s_from_z(z))):
+    for cond, p in conditional_states_general(rho, pvm_from_z(z)):
         if cond is not None:
             total += p * entropy_bits(cond)
     return total
@@ -60,7 +60,7 @@ def measured_term_reference(rho, z):
 
 def d_a_reference(rho, z):
     """Sum of ||[A_ij, A_kl]||_2 over the six pairs of expansion blocks in the basis of z."""
-    blocks = [blk for row in a_operators(rho, s_from_z(z)) for blk in row]
+    blocks = [blk for row in a_operators(rho, z) for blk in row]
     return sum(hs_norm(commutator(x, y)) for x, y in combinations(blocks, 2))
 
 

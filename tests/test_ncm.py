@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcorr.linalg import ID2, PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z, commutator, hs_norm, kron
-from qcorr.measurement import s_from_z, unitary_from_s, z_vector
+from qcorr.measurement import basis
 from qcorr.ncm import (
     a_operators,
     alpha_triple,
@@ -22,7 +22,7 @@ from qcorr.states import bd_matrix, fano_vectors, sample_bd
 
 FAST = SearchConfig(grid_points=200)
 
-COMPUTATIONAL = np.array([1.0, 0, 0, 0])
+COMPUTATIONAL = np.array([0.0, 0.0, 1.0])
 
 # Bell-diagonal states where two axis values of the d_A objective are close.
 # The first six sent a single-start search into the wrong axis basin; the
@@ -71,10 +71,10 @@ class TestAOperators:
         rng = np.random.default_rng(31)
         for _ in range(25):
             rho = random_state(rng)
-            s = random_unit(rng, 4)
-            v = unitary_from_s(s)
+            z = random_unit(rng, 3)
+            v = basis(z)
             kets = [v[:, 0], v[:, 1]]
-            blocks = a_operators(rho, s)
+            blocks = a_operators(rho, z)
             rebuilt = sum(
                 kron(blocks[i][j], np.outer(kets[i], kets[j].conj()))
                 for i in range(2)
@@ -95,9 +95,9 @@ class TestAOperators:
         """Each pair norm reduces to the Pauli-overlap expansion."""
         rng = np.random.default_rng(32)
         for bd in sample_bd(10, rng):
-            s = random_unit(rng, 4)
+            z = random_unit(rng, 3)
             rho = bd_matrix(bd)
-            v = unitary_from_s(s)
+            v = basis(z)
             kets = [v[:, 0], v[:, 1]]
             overlap = {
                 m: np.array(
@@ -105,7 +105,7 @@ class TestAOperators:
                 )
                 for m in range(3)
             }
-            blocks = a_operators(rho, s)
+            blocks = a_operators(rho, z)
             keys = [(0, 0), (0, 1), (1, 0), (1, 1)]
             c1, c2, c3 = bd.coeffs
             for x in range(4):
@@ -128,9 +128,9 @@ class TestClosedForm:
     def test_direct_sum_matches_closed_form(self):
         rng = np.random.default_rng(33)
         for bd in sample_bd(30, rng):
-            s = random_unit(rng, 4)
-            direct = d_a_basis(bd_matrix(bd), s)
-            closed = d_a_bd_closed(bd, s)
+            z = random_unit(rng, 3)
+            direct = d_a_basis(bd_matrix(bd), z)
+            closed = d_a_bd_closed(bd, z)
             assert direct == pytest.approx(closed, abs=1e-10)
 
     def test_bell_state_computational_value(self):
@@ -143,15 +143,14 @@ class TestClosedForm:
         assert d_a_bd_closed([0.6, -0.6, 0.6], COMPUTATIONAL) == pytest.approx(
             0.4872792206135785, abs=1e-12
         )
-        s_x = s_from_z([1.0, 0, 0])
-        assert d_a_bd_closed([1.0, -0.6, 0.6], s_x) == pytest.approx(
+        assert d_a_bd_closed([1.0, -0.6, 0.6], [1.0, 0, 0]) == pytest.approx(
             0.7272792206135785, abs=1e-12
         )
 
     def test_same_alpha_means_basis_independent(self):
-        """When all pairwise products tie, the closed form is constant in s."""
+        """When all pairwise products tie, the closed form is constant in z."""
         rng = np.random.default_rng(34)
-        vals = [d_a_bd_closed([0.6, -0.6, 0.6], random_unit(rng, 4)) for _ in range(20)]
+        vals = [d_a_bd_closed([0.6, -0.6, 0.6], random_unit(rng, 3)) for _ in range(20)]
         np.testing.assert_allclose(vals, vals[0], atol=1e-12)
 
 
@@ -172,14 +171,14 @@ class TestOptimized:
         for bd in sample_bd(10, rng):
             opt = d_a_optimized(bd)
             for _ in range(50):
-                assert opt <= d_a_bd_closed(bd, random_unit(rng, 4)) + 1e-10
+                assert opt <= d_a_bd_closed(bd, random_unit(rng, 3)) + 1e-10
 
     def test_generic_states_are_basis_dependent(self):
         """A state with distinct pairwise products has strictly worse bases."""
         c = [1.0, -0.6, 0.6]
         opt = d_a_optimized(c)
         worst = max(
-            d_a_bd_closed(c, random_unit(np.random.default_rng(36), 4)) for _ in range(50)
+            d_a_bd_closed(c, random_unit(np.random.default_rng(36), 3)) for _ in range(50)
         )
         assert worst > opt + 1e-3
 
@@ -187,14 +186,14 @@ class TestOptimized:
 class TestNumericMinimizer:
     def test_matches_closed_optimum(self):
         for bd in sample_bd(10, seed=37):
-            val, s_best = d_a_numeric(bd, FAST)
+            val, z_best = d_a_numeric(bd, FAST)
             assert val == pytest.approx(d_a_optimized(bd), abs=1e-8)
-            assert abs(np.linalg.norm(s_best) - 1) < 1e-12
+            assert abs(np.linalg.norm(z_best) - 1) < 1e-12
 
     def test_minimum_sits_on_an_axis(self):
         for bd in sample_bd(5, seed=38):
-            _, s_best = d_a_numeric(bd, FAST)
-            z = np.abs(z_vector(s_best))
+            _, z_best = d_a_numeric(bd, FAST)
+            z = np.abs(z_best)
             assert np.max(z) == pytest.approx(1.0, abs=1e-4)
 
     @pytest.mark.parametrize("c", HARD_DA_STATES)
@@ -203,10 +202,10 @@ class TestNumericMinimizer:
         assert abs(val - d_a_optimized(c)) <= 1e-12
 
     def test_deterministic(self):
-        v1, s1 = d_a_numeric([0.5, -0.3, 0.2], FAST)
-        v2, s2 = d_a_numeric([0.5, -0.3, 0.2], FAST)
+        v1, z1 = d_a_numeric([0.5, -0.3, 0.2], FAST)
+        v2, z2 = d_a_numeric([0.5, -0.3, 0.2], FAST)
         assert v1 == v2
-        np.testing.assert_array_equal(s1, s2)
+        np.testing.assert_array_equal(z1, z2)
 
 
 def haar_unitary(rng):
