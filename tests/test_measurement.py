@@ -29,6 +29,18 @@ def z_sigma(z):
     return sum(zi * sigma for zi, sigma in zip(z, PAULIS))
 
 
+def bloch(ket):
+    """Bloch vector <ket|sigma_k|ket> of a qubit ket."""
+    return np.array([np.vdot(ket, p @ ket).real for p in PAULIS])
+
+
+def seam_and_poles():
+    """Unit z on the z3 = +0 / -0 seam of basis(z), and both poles."""
+    ring = np.linspace(0.0, 2 * np.pi, 9)
+    seam = [[np.cos(t), np.sin(t), zero] for t in ring for zero in (0.0, -0.0)]
+    return seam + [E3, -E3]
+
+
 class TestUnitaryAndPvm:
     def test_identity_parameter(self):
         assert np.array_equal(basis(E3), ID2)
@@ -40,9 +52,7 @@ class TestUnitaryAndPvm:
         switches between its two forms.
         """
         rng = np.random.default_rng(42)
-        ring = np.linspace(0.0, 2 * np.pi, 9)
-        seam = [[np.cos(t), np.sin(t), zero] for t in ring for zero in (0.0, -0.0)]
-        for z in [random_unit(rng, 3) for _ in range(1000)] + seam + [E3, -E3]:
+        for z in [random_unit(rng, 3) for _ in range(1000)] + seam_and_poles():
             v = basis(z)
             np.testing.assert_allclose(v @ dagger(v), ID2, rtol=0, atol=1e-15)
             np.testing.assert_allclose(z_sigma(z) @ v, v * [1, -1], rtol=0, atol=1e-15)
@@ -59,6 +69,17 @@ class TestUnitaryAndPvm:
             np.testing.assert_allclose([np.trace(pvm.m0 @ p).real for p in PAULIS], z, atol=1e-15)
             ket = basis(z)[:, 0]
             np.testing.assert_allclose(np.outer(ket, ket.conj()), pvm.m0, atol=1e-15)
+
+    def test_sign_flip_gives_same_pvm(self):
+        """z and -z name one measurement: the projectors, and the eigenkets up to a phase, swap."""
+        rng = np.random.default_rng(44)
+        for _ in range(50):
+            z = random_unit(rng, 3)
+            a, b = pvm_from_z(z), pvm_from_z(-z)
+            assert np.array_equal(a.m0, b.m1)
+            assert np.array_equal(a.m1, b.m0)
+            overlaps = np.abs(dagger(basis(-z)) @ basis(z))
+            np.testing.assert_allclose(overlaps, [[0, 1], [1, 0]], rtol=0, atol=1e-15)
 
     def test_axis_parameter_gives_computational_basis(self):
         pvm = pvm_from_z(E3)
@@ -79,6 +100,29 @@ class TestUnitaryAndPvm:
 
 
 class TestZVector:
+    def test_always_unit(self):
+        """Both eigenkets of basis(z) are pure states: unit norm and unit Bloch vector."""
+        rng = np.random.default_rng(45)
+        for z in [random_unit(rng, 3) for _ in range(1000)] + seam_and_poles():
+            for ket in basis(z).T:
+                assert abs(np.linalg.norm(ket) - 1) < 1e-15
+                assert abs(np.linalg.norm(bloch(ket)) - 1) < 1e-15
+
+    def test_s_from_z_round_trip(self):
+        """z -> basis(z) -> z: the eigenkets of basis(z) have Bloch vectors z and -z."""
+        rng = np.random.default_rng(46)
+        for z in [random_unit(rng, 3) for _ in range(300)] + seam_and_poles():
+            v = basis(z)
+            np.testing.assert_allclose(bloch(v[:, 0]), z, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(bloch(v[:, 1]), -np.asarray(z), rtol=0, atol=1e-15)
+
+    def test_s_from_z_poles(self):
+        """At the poles basis(z) is exact: I at +e3, and the swapped kets at -e3."""
+        assert np.array_equal(basis(E3), ID2)
+        assert np.array_equal(basis(-E3), [[0, -1], [1, 0]])
+        assert np.array_equal(bloch(basis(-E3)[:, 0]), -E3)
+        assert np.array_equal(bloch(basis(-E3)[:, 1]), E3)
+
     def test_optimal_representatives_hit_the_axes(self):
         assert np.array_equal(OPTIMAL_Z, np.eye(3))
         for axis, c in ((1, [0.6, -0.6, 0.6]), (2, [0.3, -0.6, 0.2]), (3, [0.1, 0.2, -0.9])):
