@@ -25,14 +25,11 @@ EIG_CLAMP = 1e-10
 _SIGNS = np.array([1.0, -1.0])
 
 
-def _entropy_of_probs(lam, clamp: float = EIG_CLAMP) -> float:
-    lam = np.asarray(lam, dtype=float)
-    low = float(np.min(lam))
-    if low < -clamp:
-        raise NotPSDError(f"negative probability {low:.3e}", violation=abs(low))
+def _entropy_batch(lam: np.ndarray) -> np.ndarray:
+    """Shannon entropy in bits of each row of probabilities, clamped to [0, 1] first."""
     lam = np.clip(lam, 0.0, 1.0)
-    pos = lam[lam > 0]
-    return float(-np.sum(pos * np.log2(pos)))
+    terms = np.where(lam > 0, -lam * np.log2(np.where(lam > 0, lam, 1.0)), 0.0)
+    return np.sum(terms, axis=1)
 
 
 def _h2(p):
@@ -59,7 +56,11 @@ def von_neumann_entropy(rho) -> float:
     tr_gap = abs(np.trace(rho).real - 1.0)
     if tr_gap > 1e-10:
         raise ValueError(f"entropy expects a unit-trace state, |Tr - 1| = {tr_gap:.3e}")
-    return _entropy_of_probs(hermitian_eigenvalues(rho))
+    lam = hermitian_eigenvalues(rho)  # descending
+    low = float(lam[-1])
+    if low < -EIG_CLAMP:
+        raise NotPSDError(f"negative probability {low:.3e}", violation=abs(low))
+    return float(_entropy_batch(lam[None])[0])
 
 
 def mutual_information(rho) -> float:
@@ -121,12 +122,6 @@ def _eig2_batch(h: np.ndarray) -> np.ndarray:
     mid = (x + y) / 2
     rad = np.sqrt(((x - y) / 2) ** 2 + np.abs(w) ** 2)
     return np.stack([mid - rad, mid + rad], axis=1)
-
-
-def _entropy_batch(lam: np.ndarray) -> np.ndarray:
-    lam = np.clip(lam, 0.0, 1.0)
-    terms = np.where(lam > 0, -lam * np.log2(np.where(lam > 0, lam, 1.0)), 0.0)
-    return np.sum(terms, axis=1)
 
 
 def _measured_term(a: np.ndarray, b: np.ndarray, r: np.ndarray):
@@ -266,9 +261,8 @@ def report_numeric(rho, config: SearchConfig | None = None) -> CorrelationReport
     The optimal axis and theta are Bell-diagonal notions, so they are None
     here.
     """
-    rho = validate(rho)
+    j, _ = classical_correlations_numeric(rho, config)  # validates rho before the search
     mi = mutual_information(rho)
-    j, _ = classical_correlations_numeric(rho, config)
     return CorrelationReport(
         mutual_info=mi,
         classical=j,

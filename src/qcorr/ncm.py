@@ -7,8 +7,11 @@ so the basis-minimized quantity is the meaningful one.  For Bell-diagonal
 states both the fixed-basis value and the minimum have closed forms.
 
 In the Fano form (a, b, R) of any state (states.fano_vectors), with z the
-Bloch vector of the first basis ket and u, v any orthonormal tangent pair at z:
-d_A(z) = (|Rz x a| + N(a + Rz) + N(a - Rz) + |Ru x Rv|) / sqrt(8), N(x)^2 = |x x Ru|^2 + |x x Rv|^2.
+Bloch vector of the first basis ket, A = [a]_x R, C = cof R and F = ||R||_F^2:
+d_A(z) = (|Az| + |Cz| + sqrt(q(z)) + sqrt(q(-z))) / sqrt(8),
+q(z) = F |a + Rz|^2 - |R^T (a + Rz)|^2 - |Az|^2.
+A Bell-diagonal state is a = 0, R = diag(c), where |Cz|^2 = sum_i alpha_i z_i^2
+and q(z) = sum_i (1 - z_i^2) alpha_i give the closed form.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ from .states import bd_coeffs, check_bd, fano_vectors
 _SQRT8 = float(np.sqrt(8.0))
 _SQRT2 = float(np.sqrt(2.0))
 _NEXT, _AFTER = [1, 2, 0], [2, 0, 1]  # i + 1 and i + 2, mod 3
+# From the squares of [A z, C z, L(a + Rz), L(a - Rz)] to |Az|^2, |Cz|^2, q(z), q(-z), over 8.
+_TERMS = (np.repeat(np.eye(4), 3, axis=0) - np.outer(np.arange(12) < 3, [0, 0, 1, 1])) / 8
 
 
 def alpha_triple(c) -> tuple[float, float, float]:
@@ -47,45 +52,36 @@ def a_operators(rho, z) -> list[list[np.ndarray]]:
     return blocks
 
 
-def _frames(z: np.ndarray) -> np.ndarray:
-    """Rows [z, u, v], u x v = z, of an orthonormal frame per row of an (n, 3) array of unit z.
-
-    The branch-free construction of Duff et al., "Building an orthonormal
-    basis, revisited", J. Comput. Graph. Tech. 6(1), 1 (2017).
-    """
-    x, y, w = z[:, 0], z[:, 1], z[:, 2]
-    sign = np.copysign(1.0, w)
-    h = -1.0 / (sign + w)
-    xyh = x * y * h
-    out = np.empty((len(z), 9))
-    out[:, :3] = z
-    out[:, 3], out[:, 4], out[:, 5] = 1.0 + sign * x * x * h, sign * xyh, -sign * x
-    out[:, 6], out[:, 7], out[:, 8] = xyh, sign + y * y * h, -y
-    return out
+def _cross_matrix(a: np.ndarray) -> np.ndarray:
+    """[a]_x: [a]_x y = a x y."""
+    return np.array([[0.0, -a[2], a[1]], [a[2], 0.0, -a[0]], [-a[1], a[0], 0.0]])
 
 
 def _d_a_objective(a: np.ndarray, r: np.ndarray):
     """Batched z -> d_A(z) for a state with Fano vector a and correlation matrix R.
 
-    The blocks' Pauli parts are (delta_ij a + R m_ij) / 4 with m_00 = -m_11 = z
-    and m_01 = conj(m_10) = u + iv, and ||[x.sigma, y.sigma]||_2 = 2 sqrt(2) |x x y|.
-    With A = [a]_x R and C = cof(R), a x Rw = A w and Rz x Rw = C (z x w), so
-    on a frame with z x u = v every cross product is linear in [z, u, v]:
-    |Rz x a| = |A z|, |Ru x Rv| = |C z| and
-    N(a +/- Rz)^2 = |A u +/- C v|^2 + |A v -/+ C u|^2.
+    The blocks' Pauli parts are (delta_ij a + R m_ij) / 4 with m_00 = -m_11 = z and
+    m_01 = conj(m_10) = u + iv, u, v a tangent pair, and ||[x.sigma, y.sigma]||_2 =
+    2 sqrt(2) |x x y|, so the pairs give |a x Rz| = |Az|, |Ru x Rv| = |Cz| and N(a +/- Rz),
+    N(x)^2 = |x x Ru|^2 + |x x Rv|^2 = ||[x]_x R||_F^2 - |x x Rz|^2 = |Lx|^2 - |Az|^2
+    for x = a +/- Rz, with L = diag(sqrt(s_j^2 + s_k^2)) U^T from R = U diag(s) V^T.
+    Squaring the affine map z -> [Az, Cz, L(a + Rz), L(a - Rz)] keeps every digit at
+    the cone point Az = 0, where |Az|^2 as a quadratic form in z z^T keeps only half.
     """
-    a_x = np.array([[0.0, -a[2], a[1]], [a[2], 0.0, -a[0]], [-a[1], a[0], 0.0]])
+    u, s, _ = np.linalg.svd(r)
+    s2 = s * s
+    l = np.sqrt(s2[_NEXT] + s2[_AFTER])[:, None] * u.T
+    lr = l @ r
     r1, r2 = r[_NEXT], r[_AFTER]
-    at, ct = (a_x @ r).T, (r1[:, _NEXT] * r2[:, _AFTER] - r1[:, _AFTER] * r2[:, _NEXT]).T
-    zero = np.zeros((3, 3))
-    # Frame rows z, u, v to A z, C z, A u + C v, A v - C u, A u - C v, A v + C u.
-    m = np.block([[at, ct, zero, zero, zero, zero],
-                  [zero, zero, at, -ct, at, ct],
-                  [zero, zero, ct, at, -ct, at]])
+    cof = r1[:, _NEXT] * r2[:, _AFTER] - r1[:, _AFTER] * r2[:, _NEXT]
+    # z @ k + offset = [A z, C z, L(a + Rz), L(a - Rz)].
+    k = np.hstack([(_cross_matrix(a) @ r).T, cof.T, lr.T, -lr.T])
+    offset = np.concatenate([np.zeros(6), l @ a, l @ a])
 
     def d_a(z: np.ndarray) -> np.ndarray:
-        y = _frames(z) @ m
-        return np.sqrt(np.add.reduceat(y * y, [0, 3, 6, 12], axis=1)).sum(axis=1) / _SQRT8
+        y = z @ k + offset
+        y *= y
+        return np.sqrt(np.maximum(y @ _TERMS, 0.0)).sum(axis=1)
 
     return d_a
 
@@ -101,16 +97,14 @@ def d_a_basis(rho, z) -> float:
     return float(d_a_basis_batch(rho, unit_z(z)[None])[0])
 
 
-def _closed_from_z(a: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Closed-form d_A for the alpha triple a, per row of an (n, 3) array z."""
-    z2 = z * z
-    return np.sqrt(z2 @ a) / _SQRT8 + np.sqrt(np.maximum((1.0 - z2) @ a, 0.0)) / _SQRT2
-
-
 def d_a_bd_closed(c, z) -> float:
-    """Closed form of the basis-dependent measure for a Bell-diagonal state, in the B basis of z."""
+    """Closed form of the basis-dependent measure for a Bell-diagonal state, in the B basis of z.
+
+    sqrt(sum_i alpha_i z_i^2) / sqrt(8) + sqrt(sum_i (1 - z_i^2) alpha_i) / sqrt(2).
+    """
     a = np.array(alpha_triple(check_bd(c)))
-    return float(_closed_from_z(a, unit_z(z)[None])[0])
+    z2 = unit_z(z) ** 2
+    return float(np.sqrt(z2 @ a) / _SQRT8 + np.sqrt(max((1.0 - z2) @ a, 0.0)) / _SQRT2)
 
 
 def d_a_optimized_rows(c: np.ndarray) -> np.ndarray:
@@ -144,19 +138,23 @@ def d_a_minimized(a: np.ndarray, r: np.ndarray, config: SearchConfig | None = No
     minima sit, so each start cell of the search holds one, as in d_a_numeric.
     In the standard frame two of them can share a cell, and the search can
     then return the higher one.
+
+    |Az| has a cone point at the null vector of A = [a]_x R V, where the search
+    stalls about 1e-11 above a minimum; the lower of the two values wins.
     """
-    v = np.linalg.svd(r)[2].T
-    value, _ = minimize_on_sphere(_d_a_objective(a, r @ v), config)
-    return value
+    rv = r @ np.linalg.svd(r)[2].T
+    objective = _d_a_objective(a, rv)
+    value, _ = minimize_on_sphere(objective, config)
+    cone = np.linalg.svd(_cross_matrix(a) @ rv)[2][-1]
+    return min(value, float(objective(np.array([cone, -cone])).min()))
 
 
 def d_a_numeric(c, config: SearchConfig | None = None) -> tuple[float, np.ndarray]:
-    """Minimize the closed form over the z sphere directly.
+    """Minimize the d_A kernel of the Bell-diagonal state, a = 0 and R = diag(c), over the z sphere.
 
     Returns (value, z_best), z_best the unit Bloch vector of the best basis found.
     """
-    a = np.array(alpha_triple(check_bd(c)))
-    return minimize_on_sphere(lambda z: _closed_from_z(a, z), config)
+    return minimize_on_sphere(_d_a_objective(np.zeros(3), np.diag(check_bd(c))), config)
 
 
 def f_hat(theta: float, alpha) -> float:

@@ -234,14 +234,6 @@ def bd_extract(rho) -> BDState:
     return BDState(float(f.t[0, 0]), float(f.t[1, 1]), float(f.t[2, 2]))
 
 
-def is_bell_diagonal(rho) -> bool:
-    try:
-        bd_extract(rho)
-    except StateError:
-        return False
-    return True
-
-
 def sample_bd(n: int, seed: int | np.random.Generator = 42) -> list[BDState]:
     """Draw random valid Bell-diagonal states.
 

@@ -203,6 +203,13 @@ class TestDiscord:
         with pytest.raises(error):
             route(rho)
 
+    def test_report_numeric_validates_once(self, monkeypatch):
+        """Each validate is a 4x4 eigensolve; report_numeric used to run two."""
+        validate, calls = correlations.validate, []
+        monkeypatch.setattr(correlations, "validate", lambda rho: calls.append(rho) or validate(rho))
+        report_numeric(bd_matrix([0.5, -0.3, 0.2]), FAST)
+        assert len(calls) == 1
+
 
 class TestCorrelationReport:
     def test_split_is_exact(self):

@@ -88,7 +88,7 @@ def test_d_a_kernel_matches_commutator_norms():
 
 
 def test_d_a_kernel_at_the_frame_seams():
-    """The frame's sign switches at z_3 = 0, and it is built differently near the poles."""
+    """The equator z_3 = +/-0 and the poles, where a tangent-frame kernel would switch its construction."""
     rng = np.random.default_rng(103)
     t = np.linspace(0.0, 2 * np.pi, 9)
     z = np.vstack([

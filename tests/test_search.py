@@ -12,7 +12,7 @@ from qcorr.correlations import (
     von_neumann_entropy,
 )
 from qcorr.linalg import partial_trace
-from qcorr.ncm import _closed_from_z, alpha_triple, d_a_optimized
+from qcorr.ncm import _d_a_objective, d_a_optimized
 from qcorr.search import SearchConfig, maximize_on_sphere, minimize_on_sphere, search_sphere
 from qcorr.states import bd_matrix, fano_vectors, sample_bd
 
@@ -118,13 +118,13 @@ def test_oracle_routes_round_budget(seed):
         c = bd.coeffs
         rho = bd_matrix(c)
         s_b = von_neumann_entropy(partial_trace(rho, "B"))
-        a = np.array(alpha_triple(c))
+        d_a = _d_a_objective(np.zeros(3), np.diag(c))
         term = _measured_term(*fano_vectors(rho))
         j_closed = classical_correlations_bd(c)[0]
         routes = [
             (lambda z: s_b - term(z), j_closed),
             (lambda z: _batch_post_mi(rho, z), j_closed),
-            (lambda z: -_closed_from_z(a, z), -d_a_optimized(c)),
+            (lambda z: -d_a(z), -d_a_optimized(c)),
         ]
         for objective, closed in routes:
             result = search_sphere(objective)
